@@ -98,6 +98,13 @@ MemorySweep sweep_memory_events(const std::vector<const PatternOp*>& fwd,
   sweep.stages = stages;
   sweep.stage_max_inflight.assign(stages.size(), 0);
 
+  std::vector<SweepStage> on_processor;
+  on_processor.reserve(stages.size());
+  for (const int s : stages) {
+    on_processor.push_back(
+        {fwd[s], bwd[s], parts.stage_stored_activations(chain, s)});
+  }
+
   // Event times: all F/B completion instants (mod T) on this processor.
   std::vector<Seconds> events{0.0};
   for (const int s : stages) {
@@ -106,23 +113,18 @@ MemorySweep sweep_memory_events(const std::vector<const PatternOp*>& fwd,
   }
 
   for (const Seconds tau : events) {
-    Bytes inflight_bytes = 0.0;
-    for (std::size_t j = 0; j < stages.size(); ++j) {
-      const int s = stages[j];
-      const long long q = inflight_at(*fwd[s], *bwd[s], tau, T, tol);
-      if (q < 0) {
-        sweep.error = "negative in-flight count for stage " +
-                      std::to_string(s) + " (backward ahead of forward)";
-        return sweep;
-      }
-      sweep.stage_max_inflight[j] =
-          std::max(sweep.stage_max_inflight[j], static_cast<int>(q));
-      inflight_bytes += static_cast<double>(q) *
-                        parts.stage_stored_activations(chain, s);
+    const InflightAt at =
+        inflight_at_event(on_processor.data(), on_processor.size(), tau, T,
+                          tol, sweep.stage_max_inflight.data());
+    if (at.negative >= 0) {
+      sweep.error = "negative in-flight count for stage " +
+                    std::to_string(stages[at.negative]) +
+                    " (backward ahead of forward)";
+      return sweep;
     }
-    sweep.points.push_back({tau, inflight_bytes});
+    sweep.points.push_back({tau, at.bytes});
     sweep.peak_activation_bytes =
-        std::max(sweep.peak_activation_bytes, inflight_bytes);
+        std::max(sweep.peak_activation_bytes, at.bytes);
   }
   return sweep;
 }
@@ -176,6 +178,25 @@ void check_resource_packing(const std::vector<Interval>& intervals,
 }
 
 }  // namespace
+
+InflightAt inflight_at_event(const SweepStage* stages, std::size_t count,
+                             Seconds tau, Seconds period, double tolerance,
+                             int* max_inflight) {
+  InflightAt at;
+  for (std::size_t j = 0; j < count; ++j) {
+    const long long q = inflight_at(*stages[j].forward, *stages[j].backward,
+                                    tau, period, tolerance);
+    if (q < 0) {
+      at.negative = static_cast<int>(j);
+      return at;
+    }
+    if (max_inflight != nullptr) {
+      max_inflight[j] = std::max(max_inflight[j], static_cast<int>(q));
+    }
+    at.bytes += static_cast<double>(q) * stages[j].batch_bytes;
+  }
+  return at;
+}
 
 MemorySweep sweep_processor_memory(const PeriodicPattern& pattern,
                                    const Allocation& allocation,

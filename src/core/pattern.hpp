@@ -82,6 +82,34 @@ struct ValidationOptions {
   double tolerance = 1e-7;
 };
 
+/// One stage as the memory sweep sees it: its F and B ops and the stored
+/// activation bytes of one in-flight batch.
+struct SweepStage {
+  const PatternOp* forward = nullptr;
+  const PatternOp* backward = nullptr;
+  Bytes batch_bytes = 0.0;
+};
+
+/// In-flight activations of a processor's stages at one sweep instant.
+struct InflightAt {
+  Bytes bytes = 0.0;  ///< Σ count·batch_bytes, summed in stage order
+  /// Position in `stages` of the first stage whose count is negative (its
+  /// backward runs ahead of its forward), or -1. When set, `bytes` holds
+  /// only the stages before it.
+  int negative = -1;
+};
+
+/// The per-event kernel of the memory sweep: in-flight activation bytes of
+/// `stages` at steady-state instant τ ∈ [0,T). A stage's count is its F
+/// completions minus B completions by τ, closed at τ, with `tolerance`
+/// snapping near-integer period fractions. When `max_inflight` is non-null,
+/// max_inflight[j] is raised to stage j's count. validate_pattern and the
+/// branch-and-bound leaf gate both evaluate memory through this function,
+/// so their verdicts cannot drift apart.
+InflightAt inflight_at_event(const SweepStage* stages, std::size_t count,
+                             Seconds tau, Seconds period, double tolerance,
+                             int* max_inflight = nullptr);
+
 /// One instant of a processor's steady-state activation occupancy.
 struct MemorySweepPoint {
   Seconds time = 0.0;            ///< event instant in [0, T)

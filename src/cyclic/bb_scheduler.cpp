@@ -31,16 +31,20 @@ class Search {
         platform_(platform),
         period_(period),
         options_(options),
-        eps_(1e-9 * period) {
-    // Dense resource indexing.
+        eps_(1e-9 * period),
+        gate_(problem, allocation, chain, platform, period) {
+    // Dense resource index of every op, resolved once.
+    std::map<ResourceId, int> resource_index;
+    op_resource_.reserve(problem.ops.size());
     for (const CyclicOp& op : problem.ops) {
-      if (!resource_index_.contains(op.resource)) {
-        const int index = static_cast<int>(resource_index_.size());
-        resource_index_.emplace(op.resource, index);
-      }
+      op_resource_.push_back(
+          resource_index
+              .emplace(op.resource, static_cast<int>(resource_index.size()))
+              .first->second);
     }
-    occupied_.resize(resource_index_.size());
+    occupied_.resize(resource_index.size());
     z_.assign(problem.ops.size(), 0.0);
+    candidate_buffers_.resize(problem.ops.size());
 
     const int num_stages = allocation.partitioning().num_stages();
     forward_shift_.assign(num_stages, 0);
@@ -64,6 +68,8 @@ class Search {
     }
     result.nodes_visited = nodes_;
     result.node_budget_hit = budget_hit_;
+    result.leaves = leaves_;
+    result.leaves_validated = leaves_validated_;
     return result;
   }
 
@@ -72,12 +78,17 @@ class Search {
     return static_cast<long long>(std::floor(z / period_ + 1e-9));
   }
 
-  /// Free gaps on a resource circle, as (start, length) with start ∈ [0,T).
-  /// `state` is sorted by position; at most the last interval wraps past T,
-  /// and disjointness guarantees the first interval starts after its tail.
-  std::vector<CircleInterval> free_gaps(const ResourceState& state) const {
-    if (state.empty()) return {CircleInterval{0.0, period_}};
-    std::vector<CircleInterval> gaps;
+  /// Free gaps on a resource circle, as (start, length) with start ∈ [0,T),
+  /// written into `gaps`. `state` is sorted by position; at most the last
+  /// interval wraps past T, and disjointness guarantees the first interval
+  /// starts after its tail.
+  void free_gaps(const ResourceState& state,
+                 std::vector<CircleInterval>& gaps) const {
+    gaps.clear();
+    if (state.empty()) {
+      gaps.push_back(CircleInterval{0.0, period_});
+      return;
+    }
     Seconds cursor = state.front().position + state.front().duration;
     for (std::size_t i = 1; i < state.size(); ++i) {
       const Seconds gap = state[i].position - cursor;
@@ -89,7 +100,6 @@ class Search {
     if (wrap_gap > eps_) {
       gaps.push_back(CircleInterval{std::fmod(cursor, period_), wrap_gap});
     }
-    return gaps;
   }
 
   /// Earliest z ≥ ready whose circle position lies in [w0, w0+width]
@@ -107,12 +117,18 @@ class Search {
     return base + w0;
   }
 
-  std::vector<Seconds> candidates(const CyclicOp& op, Seconds ready) const {
-    if (op.duration <= eps_) return {ready};
-    const ResourceState& state =
-        occupied_[resource_index_.at(op.resource)];
-    std::vector<Seconds> zs;
-    for (const CircleInterval& gap : free_gaps(state)) {
+  /// Candidate virtual times of op `index`, written into that depth's
+  /// buffer (deeper levels of the DFS use their own).
+  const std::vector<Seconds>& candidates(std::size_t index, Seconds ready) {
+    const CyclicOp& op = problem_.ops[index];
+    std::vector<Seconds>& zs = candidate_buffers_[index];
+    zs.clear();
+    if (op.duration <= eps_) {
+      zs.push_back(ready);
+      return zs;
+    }
+    free_gaps(occupied_[op_resource_[index]], gaps_);
+    for (const CircleInterval& gap : gaps_) {
       if (gap.duration + eps_ < op.duration) continue;
       const Seconds slack = gap.duration - op.duration;
       // Earliest fit in the gap (memory-cheapest), plus the left- and
@@ -138,9 +154,10 @@ class Search {
     return zs;
   }
 
-  void place(const CyclicOp& op, Seconds z) {
+  void place(std::size_t index, Seconds z) {
+    const CyclicOp& op = problem_.ops[index];
     if (op.duration <= eps_) return;
-    ResourceState& state = occupied_[resource_index_.at(op.resource)];
+    ResourceState& state = occupied_[op_resource_[index]];
     const Seconds phi = std::fmod(z, period_);
     const auto it = std::lower_bound(
         state.begin(), state.end(), phi,
@@ -148,9 +165,10 @@ class Search {
     state.insert(it, CircleInterval{phi, op.duration});
   }
 
-  void unplace(const CyclicOp& op, Seconds z) {
+  void unplace(std::size_t index, Seconds z) {
+    const CyclicOp& op = problem_.ops[index];
     if (op.duration <= eps_) return;
-    ResourceState& state = occupied_[resource_index_.at(op.resource)];
+    ResourceState& state = occupied_[op_resource_[index]];
     const Seconds phi = std::fmod(z, period_);
     const auto it = std::find_if(
         state.begin(), state.end(), [&](const CircleInterval& iv) {
@@ -172,9 +190,9 @@ class Search {
     ++nodes_;
 
     const CyclicOp& op = problem_.ops[index];
-    for (const Seconds z : candidates(op, ready)) {
+    for (const Seconds z : candidates(index, ready)) {
       z_[index] = z;
-      place(op, z);
+      place(index, z);
 
       // Memory floor pruning once a stage's backward lands: in steady state
       // a stage whose shifts differ by δ = h_B − h_F keeps at least δ − 1
@@ -204,7 +222,7 @@ class Search {
         return true;
       }
       if (touched_proc >= 0) resident_floor_[touched_proc] -= floor_delta;
-      unplace(op, z);
+      unplace(index, z);
       if (budget_hit_) return false;
     }
     return false;
@@ -219,11 +237,11 @@ class Search {
   /// profile fits. When memory is tight it usually fails and the DFS takes
   /// over with its shift-minimizing placements.
   bool try_compact_construction(BBResult& result) {
-    std::map<ResourceId, Seconds> cursor;
+    std::vector<Seconds> cursor(occupied_.size(), 0.0);
     Seconds ready = 0.0;
     for (std::size_t i = 0; i < problem_.ops.size(); ++i) {
       const CyclicOp& op = problem_.ops[i];
-      Seconds& phi = cursor[op.resource];
+      Seconds& phi = cursor[op_resource_[i]];
       if (phi + op.duration > period_ * (1.0 + 1e-9)) return false;
       // Smallest z ≥ ready with z mod T == phi.
       const Seconds base = std::floor(ready / period_) * period_;
@@ -236,14 +254,13 @@ class Search {
     return try_leaf(result);
   }
 
+  /// The gate rejects exactly the leaves validate_pattern would reject for
+  /// memory; the rest (normally the one accepted leaf) are verified in full.
   bool try_leaf(BBResult& result) {
-    PeriodicPattern pattern;
-    pattern.period = period_;
-    for (std::size_t i = 0; i < problem_.ops.size(); ++i) {
-      const CyclicOp& op = problem_.ops[i];
-      pattern.ops.push_back(PeriodicPattern::make_op(
-          op.kind, op.stage, op.resource, z_[i], op.duration, period_));
-    }
+    ++leaves_;
+    if (!gate_.admits(z_)) return false;
+    ++leaves_validated_;
+    PeriodicPattern pattern{period_, gate_.ops()};
     const ValidationResult check =
         validate_pattern(pattern, allocation_, chain_, platform_);
     if (!check.valid) return false;
@@ -259,19 +276,88 @@ class Search {
   BBOptions options_;
   double eps_;
 
-  std::map<ResourceId, int> resource_index_;
+  LeafMemoryGate gate_;
+
+  std::vector<int> op_resource_;  ///< dense resource index per op
   std::vector<ResourceState> occupied_;
   std::vector<Seconds> z_;
+  std::vector<std::vector<Seconds>> candidate_buffers_;  ///< one per depth
+  std::vector<CircleInterval> gaps_;
   std::vector<long long> forward_shift_;
   std::vector<Bytes> stage_bytes_;
   std::vector<Bytes> static_memory_;
   std::vector<Bytes> resident_floor_;
 
   std::size_t nodes_ = 0;
+  std::size_t leaves_ = 0;
+  std::size_t leaves_validated_ = 0;
   bool budget_hit_ = false;
 };
 
 }  // namespace
+
+LeafMemoryGate::LeafMemoryGate(const CyclicProblem& problem,
+                               const Allocation& allocation,
+                               const Chain& chain, const Platform& platform,
+                               Seconds period)
+    : problem_(problem),
+      period_(period),
+      tolerance_(ValidationOptions{}.tolerance),
+      limit_(platform.memory_per_processor * (1.0 + tolerance_)),
+      ops_(problem.ops.size()) {
+  const Partitioning& parts = allocation.partitioning();
+  const int num_stages = parts.num_stages();
+  std::vector<const PatternOp*> fwd(num_stages, nullptr);
+  std::vector<const PatternOp*> bwd(num_stages, nullptr);
+  for (std::size_t i = 0; i < problem.ops.size(); ++i) {
+    const CyclicOp& op = problem.ops[i];
+    if (op.kind == OpKind::Forward) fwd[op.stage] = &ops_[i];
+    if (op.kind == OpKind::Backward) bwd[op.stage] = &ops_[i];
+  }
+  const int procs = allocation.num_processors();
+  processor_begin_.push_back(0);
+  for (int p = 0; p < procs; ++p) {
+    for (const int s : allocation.stages_on(p)) {
+      MP_ENSURE(fwd[s] != nullptr && bwd[s] != nullptr,
+                "cyclic problem misses a stage's F or B op");
+      stages_.push_back(
+          {fwd[s], bwd[s], parts.stage_stored_activations(chain, s)});
+    }
+    processor_begin_.push_back(stages_.size());
+    static_memory_.push_back(allocation.static_memory(chain, p));
+  }
+}
+
+bool LeafMemoryGate::admits(const std::vector<Seconds>& z) {
+  MP_EXPECT(z.size() == ops_.size(), "one virtual time per problem op");
+  for (std::size_t i = 0; i < ops_.size(); ++i) {
+    const CyclicOp& op = problem_.ops[i];
+    ops_[i] = PeriodicPattern::make_op(op.kind, op.stage, op.resource, z[i],
+                                       op.duration, period_);
+  }
+  // validate_pattern fails when a processor's static memory plus its peak
+  // in-flight bytes exceeds the limit. Addition is monotone, so that holds
+  // exactly when some event's bytes already exceed it; the events are the
+  // sweep's, 0 and every F/B completion instant (mod T).
+  for (std::size_t p = 0; p < static_memory_.size(); ++p) {
+    const SweepStage* stages = stages_.data() + processor_begin_[p];
+    const std::size_t count = processor_begin_[p + 1] - processor_begin_[p];
+    for (std::size_t e = 0; e <= 2 * count; ++e) {
+      Seconds tau = 0.0;
+      if (e > 0) {
+        const PatternOp& op = (e % 2 == 1) ? *stages[(e - 1) / 2].forward
+                                           : *stages[(e - 1) / 2].backward;
+        tau = std::fmod(op.start + op.duration, period_);
+      }
+      const InflightAt at =
+          inflight_at_event(stages, count, tau, period_, tolerance_);
+      if (at.negative >= 0 || static_memory_[p] + at.bytes > limit_) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
 
 BBResult bb_schedule(const CyclicProblem& problem, const Allocation& allocation,
                      const Chain& chain, const Platform& platform,

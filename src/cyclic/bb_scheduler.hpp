@@ -11,11 +11,18 @@
 //     memory) without changing packability;
 //   * trying candidates in increasing z explores memory-cheapest placements
 //     first.
-// Leaves are verified exactly with validate_pattern (the event-sweep memory
-// check), and partial placements are pruned with a safe lower bound on the
+// Partial placements are pruned with a safe lower bound on the
 // always-resident activation floor (a stage in "group" g keeps at least
-// g − 1 activations at all times, §4.2.1).
+// g − 1 activations at all times, §4.2.1). The DFS places ops in chain
+// order into free circle gaps, so structure, dependencies and resource
+// exclusivity hold at every leaf by construction; only memory can reject
+// one. A leaf therefore first passes LeafMemoryGate, the exact memory check
+// of validate_pattern without its allocations, and only a leaf the gate
+// admits is verified in full with validate_pattern. Every returned pattern
+// has passed validate_pattern (DESIGN.md §16).
 #pragma once
+
+#include <vector>
 
 #include "core/plan.hpp"
 #include "cyclic/stage_graph.hpp"
@@ -35,11 +42,48 @@ struct BBResult {
   PeriodicPattern pattern;  ///< valid pattern when feasible
   std::size_t nodes_visited = 0;
   bool node_budget_hit = false;
+  /// Complete placements checked (the compact construction included), and
+  /// those the memory gate admitted to the full validate_pattern.
+  std::size_t leaves = 0;
+  std::size_t leaves_validated = 0;
 };
 
 /// Try to build a valid pattern at exactly `period`.
 BBResult bb_schedule(const CyclicProblem& problem, const Allocation& allocation,
                      const Chain& chain, const Platform& platform,
                      Seconds period, const BBOptions& options = {});
+
+/// Exact activation-memory check of a complete placement at one period:
+/// step 4 of validate_pattern (the per-processor event sweep, including its
+/// negative in-flight rejection, with the same expressions, summation order
+/// and default tolerance), over buffers sized once. admits() is false
+/// exactly when validate_pattern's memory check would reject the pattern.
+class LeafMemoryGate {
+ public:
+  LeafMemoryGate(const CyclicProblem& problem, const Allocation& allocation,
+                 const Chain& chain, const Platform& platform,
+                 Seconds period);
+  LeafMemoryGate(const LeafMemoryGate&) = delete;  // stages_ points into ops_
+  LeafMemoryGate& operator=(const LeafMemoryGate&) = delete;
+
+  /// Build the pattern ops of virtual times `z` (one per problem op, in
+  /// chain order) with PeriodicPattern::make_op and sweep their memory.
+  bool admits(const std::vector<Seconds>& z);
+
+  /// The ops the last admits() call built, in problem op order.
+  const std::vector<PatternOp>& ops() const noexcept { return ops_; }
+
+ private:
+  const CyclicProblem& problem_;
+  Seconds period_;
+  double tolerance_;
+  Bytes limit_;  ///< M·(1 + tolerance), as validate_pattern computes it
+  std::vector<PatternOp> ops_;
+  /// Stages grouped by processor in Allocation::stages_on order; processor
+  /// p owns stages_[processor_begin_[p], processor_begin_[p + 1]).
+  std::vector<SweepStage> stages_;
+  std::vector<std::size_t> processor_begin_;
+  std::vector<Bytes> static_memory_;
+};
 
 }  // namespace madpipe

@@ -179,7 +179,8 @@ PeriodSearchResult find_min_period(const Allocation& allocation,
   const auto probe = [&](const ProbeRunner::Node& node) -> bool {
     ++result.probes;
     const BBResult& bb = runner.demand(node, &result.speculative_hits);
-    if (bb.node_budget_hit) {
+    if (!bb.feasible && bb.node_budget_hit) {
+      ++result.budget_hits;
       log::debug("cyclic probe at T=", node.period, " hit the node budget");
     }
     if (bb.feasible) {
@@ -191,6 +192,7 @@ PeriodSearchResult find_min_period(const Allocation& allocation,
   };
   const auto finish = [&] {
     span.arg("probes", result.probes);
+    span.arg("budget_hits", result.budget_hits);
     span.arg("feasible", result.feasible ? 1 : 0);
     result.speculative_probes = runner.speculative_probes();
     result.wall_seconds =

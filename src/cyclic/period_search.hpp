@@ -36,6 +36,9 @@ struct PeriodSearchResult {
   /// served by an earlier speculative batch.
   int speculative_probes = 0;
   int speculative_hits = 0;
+  /// Consumed probes that reported infeasible because the B&B node budget
+  /// ran out, not because the search space was exhausted.
+  int budget_hits = 0;
   double wall_seconds = 0.0;
 };
 

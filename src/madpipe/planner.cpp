@@ -29,11 +29,13 @@ std::optional<Plan> schedule_allocation(const Allocation& allocation,
   const PeriodSearchResult phase2 =
       find_min_period(allocation, chain, platform, phase1_period, options);
   stats.phase2_probes = phase2.probes;
-  stats.speculative_probes = phase2.speculative_probes;
-  stats.speculative_hits = phase2.speculative_hits;
+  stats.phase2_speculative_probes = phase2.speculative_probes;
+  stats.phase2_speculative_hits = phase2.speculative_hits;
+  stats.phase2_budget_hits = phase2.budget_hits;
   stats.phase2_wall_seconds = phase2.wall_seconds;
   if (!phase2.feasible) return std::nullopt;
-  return Plan{"madpipe", allocation, phase2.pattern, 0.0, 0.0};
+  return Plan{"madpipe", allocation, phase2.pattern, 0.0, 0.0,
+              PlannerStats{}};
 }
 
 }  // namespace

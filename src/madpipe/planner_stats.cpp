@@ -25,6 +25,9 @@ void PlannerStats::absorb(const PlannerStats& other) noexcept {
   phase2_probes += other.phase2_probes;
   speculative_probes += other.speculative_probes;
   speculative_hits += other.speculative_hits;
+  phase2_speculative_probes += other.phase2_speculative_probes;
+  phase2_speculative_hits += other.phase2_speculative_hits;
+  phase2_budget_hits += other.phase2_budget_hits;
   phase1_wall_seconds += other.phase1_wall_seconds;
   phase2_wall_seconds += other.phase2_wall_seconds;
 }
@@ -63,6 +66,12 @@ void PlannerStats::write_json(json::Writer& writer) const {
   writer.value(speculative_probes);
   writer.key("speculative_hits");
   writer.value(speculative_hits);
+  writer.key("phase2_speculative_probes");
+  writer.value(phase2_speculative_probes);
+  writer.key("phase2_speculative_hits");
+  writer.value(phase2_speculative_hits);
+  writer.key("phase2_budget_hits");
+  writer.value(phase2_budget_hits);
   writer.key("phase1_wall_seconds");
   writer.value(phase1_wall_seconds);
   writer.key("phase2_wall_seconds");
@@ -90,6 +99,9 @@ void PlannerStats::publish() const {
     obs::Counter& phase2_probes;
     obs::Counter& speculative_probes;
     obs::Counter& speculative_hits;
+    obs::Counter& phase2_speculative_probes;
+    obs::Counter& phase2_speculative_hits;
+    obs::Counter& phase2_budget_hits;
     obs::Histogram& phase1_wall;
     obs::Histogram& phase2_wall;
   };
@@ -124,10 +136,16 @@ void PlannerStats::publish() const {
                   "DP probes consumed by Algorithm 1"),
         r.counter("madpipe_planner_phase2_probes_total",
                   "bb_schedule probes consumed by the cyclic period search"),
-        r.counter("madpipe_planner_speculative_probes_total",
-                  "Extra probes launched ahead of need"),
-        r.counter("madpipe_planner_speculative_hits_total",
-                  "Demanded probes served from a speculative batch"),
+        r.counter("madpipe_planner_phase1_speculative_probes_total",
+                  "Phase-1 DP probes launched ahead of need"),
+        r.counter("madpipe_planner_phase1_speculative_hits_total",
+                  "Demanded phase-1 probes served from a speculative batch"),
+        r.counter("madpipe_planner_phase2_speculative_probes_total",
+                  "Phase-2 B&B probes launched ahead of need"),
+        r.counter("madpipe_planner_phase2_speculative_hits_total",
+                  "Demanded phase-2 probes served from a speculative batch"),
+        r.counter("madpipe_planner_phase2_budget_hits_total",
+                  "Consumed phase-2 probes cut short by the B&B node budget"),
         r.histogram("madpipe_planner_phase1_seconds",
                     obs::latency_bounds_seconds(),
                     "Phase-1 (Algorithm 1) wall time per plan"),
@@ -152,6 +170,9 @@ void PlannerStats::publish() const {
   metrics.phase2_probes.add(phase2_probes);
   metrics.speculative_probes.add(speculative_probes);
   metrics.speculative_hits.add(speculative_hits);
+  metrics.phase2_speculative_probes.add(phase2_speculative_probes);
+  metrics.phase2_speculative_hits.add(phase2_speculative_hits);
+  metrics.phase2_budget_hits.add(phase2_budget_hits);
   metrics.phase1_wall.observe(phase1_wall_seconds);
   metrics.phase2_wall.observe(phase2_wall_seconds);
 }

@@ -40,9 +40,17 @@ struct PlannerStats {
   long long phase1_probes = 0;  ///< DP probes consumed by Algorithm 1
   long long phase2_probes = 0;  ///< bb_schedule probes consumed by the
                                 ///< cyclic period search
-  long long speculative_probes = 0;  ///< extra probes launched ahead of need
-  long long speculative_hits = 0;    ///< demanded probes served from a
-                                     ///< speculative batch
+  // Speculation counters, one pair per phase. The phase-1 pair keeps its
+  // original field names; the registry and CLI label it "phase1".
+  long long speculative_probes = 0;  ///< phase-1 DP probes launched ahead
+                                     ///< of need
+  long long speculative_hits = 0;    ///< demanded phase-1 probes served
+                                     ///< from a speculative batch
+  long long phase2_speculative_probes = 0;  ///< the same for the B&B probes
+  long long phase2_speculative_hits = 0;    ///< of the cyclic period search
+  /// Consumed phase-2 probes whose "infeasible" came from B&B node-budget
+  /// exhaustion rather than a refutation.
+  long long phase2_budget_hits = 0;
   double phase1_wall_seconds = 0.0;
   double phase2_wall_seconds = 0.0;
 

@@ -151,7 +151,8 @@ std::optional<Plan> plan_one_f_one_b(const Allocation& allocation,
     OneFOneBSchedule schedule =
         build_one_f_one_b(allocation, chain, platform, period);
     Plan plan{"1f1b*", allocation, std::move(schedule.pattern),
-              allocation.period_lower_bound(chain, platform), 0.0};
+              allocation.period_lower_bound(chain, platform), 0.0,
+              PlannerStats{}};
     plan.planning_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start_time)

@@ -5,6 +5,8 @@
 #include <random>
 
 #include "cyclic/period_search.hpp"
+#include "madpipe/search.hpp"
+#include "models/zoo.hpp"
 #include "schedule/one_f_one_b.hpp"
 
 namespace madpipe {
@@ -135,6 +137,45 @@ TEST(PeriodSearch, NonContiguousProducesValidPattern) {
   const auto check = validate_pattern(result.pattern, a, c, p);
   EXPECT_TRUE(check.valid) << (check.errors.empty() ? "" : check.errors[0]);
   EXPECT_GE(result.period, a.period_lower_bound(c, p) - 1e-12);
+}
+
+TEST(PeriodSearch, BudgetHitsCountConsumedBudgetExhaustedProbes) {
+  // Replay the sequential bisection probe by probe on resnet50's phase-1
+  // allocation for 4 GPUs with 8 GB, and count the infeasible verdicts that
+  // came from node-budget exhaustion.
+  const Chain c = models::paper_network("resnet50");
+  const Platform p{4, 8 * GB, 12 * GB};
+  const Phase1Result phase1 = madpipe_phase1(c, p);
+  ASSERT_TRUE(phase1.feasible());
+  const Allocation& a = *phase1.allocation;
+  PeriodSearchOptions options;
+  const CyclicProblem problem = build_cyclic_problem(a, c, p);
+  int expected = 0;
+  const auto probe = [&](Seconds period) {
+    const BBResult bb = bb_schedule(problem, a, c, p, period, options.bb);
+    if (!bb.feasible && bb.node_budget_hit) ++expected;
+    return bb.feasible;
+  };
+  Seconds lb = std::max(problem.min_period, phase1.period);
+  Seconds ub = std::max(problem.serial_period, lb);
+  int probes = 2;
+  ASSERT_TRUE(probe(ub));
+  if (!probe(lb)) {
+    while (probes < options.max_probes &&
+           ub - lb > options.relative_precision * ub) {
+      const Seconds mid = 0.5 * (lb + ub);
+      ++probes;
+      (probe(mid) ? ub : lb) = mid;
+    }
+  }
+  for (const int speculation : {1, 4}) {
+    options.speculation = speculation;
+    const PeriodSearchResult result =
+        find_min_period(a, c, p, phase1.period, options);
+    EXPECT_EQ(result.probes, probes) << "W=" << speculation;
+    EXPECT_EQ(result.budget_hits, expected) << "W=" << speculation;
+  }
+  EXPECT_GT(expected, 0);
 }
 
 TEST(PeriodSearch, LowerHintIsRespected) {

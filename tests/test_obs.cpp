@@ -290,6 +290,14 @@ TEST(ObsRegistryParity, PlannerStatsMatchRegistryAfterOnePlan) {
             plan->stats.phase2_probes);
   EXPECT_EQ(registry.counter("madpipe_planner_memo_hits_total").value(),
             plan->stats.memo_hits);
+  EXPECT_EQ(registry.counter("madpipe_planner_phase1_speculative_probes_total")
+                .value(),
+            plan->stats.speculative_probes);
+  EXPECT_EQ(registry.counter("madpipe_planner_phase2_speculative_probes_total")
+                .value(),
+            plan->stats.phase2_speculative_probes);
+  EXPECT_EQ(registry.counter("madpipe_planner_phase2_budget_hits_total").value(),
+            plan->stats.phase2_budget_hits);
   // Exactly one plan → one observation in each phase-wall histogram.
   EXPECT_EQ(registry.histogram("madpipe_planner_phase1_seconds").count(), 1);
   EXPECT_EQ(registry.histogram("madpipe_planner_phase2_seconds").count(), 1);

@@ -78,7 +78,9 @@ TEST(PipeDream, TighterMemoryNeverImprovesDpPeriod) {
     const Platform p{4, mem_gb * GB, 12 * GB};
     const auto result = pipedream_partition(c, p);
     if (!result) break;
-    if (previous >= 0.0) EXPECT_GE(result->dp_period, previous - 1e-12);
+    if (previous >= 0.0) {
+      EXPECT_GE(result->dp_period, previous - 1e-12);
+    }
     previous = result->dp_period;
   }
 }

@@ -215,6 +215,9 @@ TEST(PlannerFastPath, StatsAggregateIntoPlan) {
   const Platform platform{4, 8 * GB, 12 * GB};
   MadPipeOptions options;
   options.phase1.dp.grid = Discretization::coarse();
+  // Phase-2 speculation on every host: its counters must not leak into the
+  // phase-1 identity below.
+  options.phase2.speculation = 4;
   const auto plan = plan_madpipe(chain, platform, options);
   ASSERT_TRUE(plan.has_value());
   EXPECT_GT(plan->stats.dp_probes, 0);
@@ -224,6 +227,30 @@ TEST(PlannerFastPath, StatsAggregateIntoPlan) {
                 plan->stats.speculative_probes +
                 plan->stats.speculative_hits);
   EXPECT_GT(plan->stats.phase1_wall_seconds, 0.0);
+}
+
+TEST(PlannerFastPath, PhaseCountersComeFromTheirOwnPhase) {
+  // resnet50 on 4 GPUs with 8 GB: the phase-1 allocation is non-contiguous
+  // and several phase-2 probes run out of B&B nodes.
+  const Chain chain = models::paper_network("resnet50");
+  const Platform platform{4, 8 * GB, 12 * GB};
+  MadPipeOptions options;
+  options.phase1.speculation = 2;
+  options.phase2.speculation = 4;
+  const auto plan = plan_madpipe(chain, platform, options);
+  ASSERT_TRUE(plan.has_value());
+
+  const Phase1Result phase1 = madpipe_phase1(chain, platform, options.phase1);
+  ASSERT_FALSE(phase1.allocation->contiguous());
+  const PeriodSearchResult phase2 = find_min_period(
+      *phase1.allocation, chain, platform, phase1.period, options.phase2);
+  EXPECT_EQ(plan->stats.speculative_probes, phase1.stats.speculative_probes);
+  EXPECT_EQ(plan->stats.speculative_hits, phase1.stats.speculative_hits);
+  EXPECT_EQ(plan->stats.phase2_probes, phase2.probes);
+  EXPECT_EQ(plan->stats.phase2_speculative_probes, phase2.speculative_probes);
+  EXPECT_EQ(plan->stats.phase2_speculative_hits, phase2.speculative_hits);
+  EXPECT_EQ(plan->stats.phase2_budget_hits, phase2.budget_hits);
+  EXPECT_GT(plan->stats.phase2_budget_hits, 0);
 }
 
 }  // namespace

@@ -67,12 +67,16 @@ WORKLOAD_FIELDS = {
     "dp_states": int,
 }
 
-# Present only in documents produced after the wavefront-DP work; the
-# committed seed predates them, so they are validated when present but
-# never required.
+# Present only in documents produced after the wavefront-DP work (memo
+# rehashes) or the per-phase speculation split (phase2_*); the committed
+# seed predates them, so they are validated when present but never
+# required.
 OPTIONAL_STATS_FIELDS = {
     "memo_rehashes": int,
     "memo_rehashes_avoided": int,
+    "phase2_speculative_probes": int,
+    "phase2_speculative_hits": int,
+    "phase2_budget_hits": int,
 }
 
 STATS_FIELDS = {

@@ -41,7 +41,8 @@
 //                   [plan options]
 //       Run the full MadPipe planner and print the hot-path counters: DP
 //       states and memo/transition-cache behaviour, bisection probes
-//       (speculative ones included), and per-phase wall time. --threads > 1
+//       (speculative ones per phase, phase-2 probes cut short by the B&B
+//       node budget), and per-phase wall time. --threads > 1
 //       runs the DP probes on the parallel wavefront engine (bit-identical
 //       plans at every shard count; DESIGN.md §11).
 //
@@ -766,9 +767,12 @@ int cmd_planner(const Args& args) {
                   ? 100.0 * static_cast<double>(stats.transition_hits) /
                         static_cast<double>(stats.transition_lookups)
                   : 0.0);
-  std::printf("  phase 2 probes     %lld\n", stats.phase2_probes);
-  std::printf("  speculation        %lld extra probes, %lld hits\n",
+  std::printf("  spec (phase 1)     %lld extra probes, %lld hits\n",
               stats.speculative_probes, stats.speculative_hits);
+  std::printf("  phase 2 probes     %lld (%lld hit the node budget)\n",
+              stats.phase2_probes, stats.phase2_budget_hits);
+  std::printf("  spec (phase 2)     %lld extra probes, %lld hits\n",
+              stats.phase2_speculative_probes, stats.phase2_speculative_hits);
   std::printf("  state budget hits  %lld\n", stats.state_budget_hits);
   std::printf("  phase 1 wall       %s\n",
               fmt::seconds(stats.phase1_wall_seconds).c_str());
