@@ -11,7 +11,10 @@
 //    Dominated candidates (whose load/link floor already reaches the best
 //    value, which the strict-improvement rule can never accept) are pruned
 //    before recursing; this changes which states are memoized but provably
-//    not the achieved period or allocation.
+//    not the achieved period or allocation. Every state's running best
+//    starts at the caller's incumbent bound instead of +∞, so each memoized
+//    value is min(bound, exact value) and the same pruning also drops every
+//    candidate that cannot beat the incumbent (DESIGN.md §7).
 //
 //  * WavefrontDpSolver — the parallel path (DESIGN.md §11). States are
 //    grouped into per-layer structure-of-arrays slabs; every transition
@@ -154,10 +157,11 @@ TransitionEntry compute_transition(const Chain& chain, const Platform& platform,
 class FlatDpSolver {
  public:
   FlatDpSolver(const Chain& chain, const Platform& platform, Seconds target,
-               const MadPipeDPOptions& options)
+               const MadPipeDPOptions& options, Seconds bound)
       : chain_(chain),
         platform_(platform),
         target_(target),
+        bound_(bound),
         options_(options),
         load_grid_(chain.total_compute(), options.grid.load_points),
         memory_grid_(platform.memory_per_processor, options.grid.memory_points),
@@ -175,7 +179,9 @@ class FlatDpSolver {
     result.period = solve_root(chain_.length(), root_p);
     result.states_visited = memo_.size();
     result.state_budget_hit = budget_hit_;
-    if (std::isfinite(result.period)) {
+    // A root value at the bound only says "no better than the incumbent";
+    // madpipe_dp reports it as +∞.
+    if (result.period < bound_) {
       reconstruct(result);
     }
     stats_.dp_probes = 1;
@@ -277,6 +283,7 @@ class FlatDpSolver {
     frame.mem_idx = mem_idx;
     frame.delay_idx = delay_idx;
     frame.k = l;
+    frame.best = bound_;
     stack_.push_back(frame);
     ++stats_.dp_state_visits;
     // Reserve the state immediately (probe 1 of 2): keeps max_states
@@ -415,9 +422,10 @@ class FlatDpSolver {
   void reconstruct(MadPipeDPResult& result) {
     // Walk the winning choices from the root. The memo only stores values,
     // so each step re-derives the argmin with the same candidate order,
-    // pruning and strict-improvement rule as the forward pass — every
-    // lookup it needs is either memoized or a base case, and the transition
-    // cache is shared, so this costs one candidate scan per stage.
+    // pruning, starting bound and strict-improvement rule as the forward
+    // pass — every lookup it needs is either memoized or a base case, and
+    // the transition cache is shared, so this costs one candidate scan per
+    // stage.
     std::vector<Stage> stages_reversed;
     std::vector<bool> special_reversed;
 
@@ -434,7 +442,7 @@ class FlatDpSolver {
         special_reversed.push_back(true);
         break;
       }
-      double best = kInfinity;
+      double best = bound_;
       int best_k = -1;
       bool best_special = false;
       int best_next_load = load_idx;
@@ -526,6 +534,7 @@ class FlatDpSolver {
   const Chain& chain_;
   const Platform& platform_;
   Seconds target_;
+  Seconds bound_;  ///< exclusive incumbent bound; +∞ when unbounded
   MadPipeDPOptions options_;
   Grid load_grid_;
   Grid memory_grid_;
@@ -1330,9 +1339,11 @@ class ReferenceDpSolver {
 
 MadPipeDPResult madpipe_dp(const Chain& chain, const Platform& platform,
                            Seconds target_period,
-                           const MadPipeDPOptions& options) {
+                           const MadPipeDPOptions& options,
+                           Seconds incumbent) {
   platform.validate();
   MP_EXPECT(target_period > 0.0, "target period must be positive");
+  MP_EXPECT(incumbent > 0.0, "incumbent bound must be positive");
   MP_EXPECT(chain.length() <= 4095, "chain too long for the packed DP state");
   MP_EXPECT(platform.processors <= 64,
             "packed DP state supports at most 64 processors");
@@ -1360,8 +1371,15 @@ MadPipeDPResult madpipe_dp(const Chain& chain, const Platform& platform,
     WavefrontDpSolver solver(chain, platform, target_period, options);
     result = solver.run();
   } else {
-    FlatDpSolver solver(chain, platform, target_period, options);
+    FlatDpSolver solver(chain, platform, target_period, options, incumbent);
     result = solver.run();
+  }
+  // The other engines ignore the bound while solving; all three report a
+  // value at or above it the same way.
+  if (!(result.period < incumbent)) {
+    result.period = kInfinity;
+    result.allocation.reset();
+    result.uses_special = false;
   }
   span.arg("states", static_cast<long long>(result.states_visited));
   span.arg("budget_hit", result.state_budget_hit ? 1 : 0);

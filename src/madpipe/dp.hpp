@@ -18,6 +18,7 @@
 // are ever evaluated.
 #pragma once
 
+#include <limits>
 #include <optional>
 
 #include "core/chain.hpp"
@@ -95,9 +96,21 @@ struct MadPipeDPResult {
 };
 
 /// Run MadPipe-DP with target period `target_period` (T̂ > 0).
-MadPipeDPResult madpipe_dp(const Chain& chain, const Platform& platform,
-                           Seconds target_period,
-                           const MadPipeDPOptions& options = {});
+///
+/// `incumbent` is an exclusive upper bound on the answers the caller can
+/// use: Algorithm 1 passes the best period found so far, since a probe
+/// landing at or above it changes neither the search interval nor the
+/// incumbent. The result is exact whenever the true value lies below
+/// `incumbent`; otherwise it is "period +∞, no allocation". Under a finite
+/// bound, +∞ therefore means "infeasible or no better than the incumbent".
+/// FlatIterative starts every state's running best at the bound, so the
+/// dominated-candidate pruning also drops the candidates that cannot beat
+/// it (fewer states, same period and allocation below the bound); the other
+/// two engines solve unbounded and apply the same cut to the root value.
+MadPipeDPResult madpipe_dp(
+    const Chain& chain, const Platform& platform, Seconds target_period,
+    const MadPipeDPOptions& options = {},
+    Seconds incumbent = std::numeric_limits<double>::infinity());
 
 namespace detail {
 

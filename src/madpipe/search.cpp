@@ -51,6 +51,13 @@ int auto_speculation(int requested) {
 /// and run the whole batch concurrently. Mispredicted probes are simply
 /// never consumed; consumed results are identical to a sequential run for
 /// every W.
+///
+/// Every probe of a batch runs under the incumbent as it stood at launch.
+/// The incumbent only shrinks until the batch's probes are consumed, so the
+/// launch-time bound is ≥ the consumption-time bound: each result is exact
+/// below the latter, and the search loop canonicalizes anything at or above
+/// it to +∞. A dominated probe leaves (lb, ub) where an infeasible one
+/// would, so the two predictable outcomes above stay the only ones needed.
 class ProbeRunner {
  public:
   ProbeRunner(const Chain& chain, const Platform& platform,
@@ -63,15 +70,18 @@ class ProbeRunner {
 
   /// Result for `target`, launching a speculative batch on a cache miss.
   /// (lb, ub) is the search state *before* this probe; `consumed` is the
-  /// number of probes the search has consumed so far.
+  /// number of probes the search has consumed so far. A miss runs the whole
+  /// batch under `incumbent`, the bound as it stands now: a cached result
+  /// may thus carry an older, larger bound, and the caller must cut it
+  /// against its current incumbent.
   const MadPipeDPResult& demand(Seconds target, Seconds lb, Seconds ub,
-                                int consumed) {
+                                int consumed, Seconds incumbent) {
     const std::uint64_t key = target_key(target);
     if (const auto it = cache_.find(key); it != cache_.end()) {
       ++stats_.speculative_hits;
       return it->second;
     }
-    launch_batch(target, lb, ub, budget_ - consumed);
+    launch_batch(target, lb, ub, budget_ - consumed, incumbent);
     const auto it = cache_.find(key);
     MP_ENSURE(it != cache_.end(), "demanded probe missing from its batch");
     return it->second;
@@ -87,7 +97,7 @@ class ProbeRunner {
   };
 
   void launch_batch(Seconds target, Seconds lb, Seconds ub,
-                    int iterations_left) {
+                    int iterations_left, Seconds incumbent) {
     // Breadth-first over the two predictable outcomes, bounded by the
     // speculation width and the iterations the search can still consume.
     std::vector<Pending> batch;
@@ -121,8 +131,8 @@ class ProbeRunner {
     par::parallel_for(
         0, batch.size(),
         [&](std::size_t i) {
-          results[i] =
-              madpipe_dp(chain_, platform_, batch[i].target, options_.dp);
+          results[i] = madpipe_dp(chain_, platform_, batch[i].target,
+                                  options_.dp, incumbent);
         },
         workers);
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -175,21 +185,31 @@ Phase1Result madpipe_phase1(const Chain& chain, const Platform& platform,
 
   Seconds target = lb;
   for (int i = 0; i < options.iterations; ++i) {
-    const MadPipeDPResult& dp = runner.demand(target, lb, ub, i);
-    const Seconds achieved = std::max(dp.period, target);
+    // Keeping every iterate's allocation needs every probe exact.
+    const Seconds incumbent = options.keep_iterate_allocations
+                                  ? std::numeric_limits<double>::infinity()
+                                  : result.period;
+    const MadPipeDPResult& dp = runner.demand(target, lb, ub, i, incumbent);
+    // The probe may have run under an older, larger incumbent: a value at
+    // or above today's counts as +∞, so the trace does not depend on the
+    // speculation width.
+    const Seconds period = dp.period < incumbent
+                               ? dp.period
+                               : std::numeric_limits<double>::infinity();
+    const Seconds achieved = std::max(period, target);
     result.trace.push_back(
         {target, achieved,
          options.keep_iterate_allocations ? dp.allocation : std::nullopt});
     log::debug("phase1 iteration ", i, ": target=", target,
                " achieved=", achieved);
 
-    if (achieved < result.period && dp.allocation.has_value()) {
+    if (achieved < result.period) {
       result.period = achieved;
       result.allocation = dp.allocation;
       result.uses_special = dp.uses_special;
     }
 
-    lb = std::max(lb, std::min(dp.period, target));
+    lb = std::max(lb, std::min(period, target));
     ub = std::min(ub, achieved);
     if (ub <= lb * (1.0 + 1e-9)) break;  // search interval collapsed
     target = 0.5 * (lb + ub);

@@ -6,6 +6,11 @@
 // schedule of the produced allocation needs a period ≥ max(DP result, T̂).
 // Each iteration therefore tightens lb = max(lb, min(T, T̂)) and
 // ub = min(ub, max(T, T̂)) and probes the midpoint.
+//
+// Once a probe has succeeded, a result at or above the incumbent (the best
+// period so far) moves neither bound, so every later probe runs with the
+// incumbent as MadPipe-DP's exclusive bound and skips the states that
+// cannot beat it; periods and allocations are unchanged (DESIGN.md §7).
 #pragma once
 
 #include <optional>
@@ -20,7 +25,9 @@ struct Phase1Options {
   int iterations = 10;  ///< K of Algorithm 1 (10 suffices per the paper)
   MadPipeDPOptions dp;
   /// Retain every iterate's allocation in the trace (used by the "schedule
-  /// the best k iterates" extension; the paper keeps only the best).
+  /// the best k iterates" extension; the paper keeps only the best). Such
+  /// runs need every iterate's exact result, so their probes run without
+  /// the incumbent bound.
   bool keep_iterate_allocations = false;
   /// Speculation width W of the bisection fast path: up to W DP probes run
   /// concurrently, the extras at the targets the search would request next
@@ -35,7 +42,10 @@ struct Phase1Options {
 
 struct Phase1Iteration {
   Seconds target = 0.0;    ///< T̂_i
-  Seconds achieved = 0.0;  ///< max(MadPipe-DP(T̂_i), T̂_i); infinity if infeasible
+  /// max(MadPipe-DP(T̂_i), T̂_i); infinity if infeasible or, unless
+  /// keep_iterate_allocations is set, if MadPipe-DP(T̂_i) is no better than
+  /// the incumbent (the best period of the earlier iterations).
+  Seconds achieved = 0.0;
   /// Present only with Phase1Options::keep_iterate_allocations.
   std::optional<Allocation> allocation;
 };
