@@ -2,12 +2,16 @@
 // dispatch contract):
 //
 //  * FlatDpSolver — the fast path. An explicit work-stack replaces the deep
-//    recursion (L can be 4095), the memo is a flat open-addressing table
-//    with 16-byte entries probed at most twice per state (placeholder
-//    insert + final update), and everything a transition determines that
-//    depends only on (k, l, delay_idx) — stage/link loads, the advanced
-//    delay, g(k,l,V) and both memory footprints — is computed once per
-//    distinct triple in a transition cache shared with reconstruction.
+//    recursion (L can be 4095), and the memo is a flat open-addressing table
+//    with 16-byte entries: a child lookup that misses reserves the child's
+//    entry in the same probe, and a finished state writes its value with
+//    one more. Everything a transition determines that depends only on
+//    (k, l, delay_idx) — stage/link loads, the advanced delay, g(k,l,V) and
+//    both memory footprints — lives in one transition panel per
+//    (l, delay_idx): an array over k = l, l−1, …, down to the layer's
+//    static-memory break, filled in scan order as scans first reach each k
+//    and shared with reconstruction. A state looks its panel up once, when
+//    its frame is pushed, and its candidate scan indexes the panel by l − k.
 //    Dominated candidates (whose load/link floor already reaches the best
 //    value, which the strict-improvement rule can never accept) are pruned
 //    before recursing; this changes which states are memoized but provably
@@ -62,13 +66,6 @@ std::uint64_t pack_state(int l, int p, int load_idx, int mem_idx,
          (static_cast<std::uint64_t>(p) << 30) |
          (static_cast<std::uint64_t>(load_idx) << 20) |
          (static_cast<std::uint64_t>(mem_idx) << 10) |
-         static_cast<std::uint64_t>(delay_idx);
-}
-
-/// Packed transition-cache key: k and l at 12 bits, delay_idx at 10.
-std::uint64_t pack_transition(int k, int l, int delay_idx) {
-  return (static_cast<std::uint64_t>(k) << 22) |
-         (static_cast<std::uint64_t>(l) << 10) |
          static_cast<std::uint64_t>(delay_idx);
 }
 
@@ -167,7 +164,11 @@ class FlatDpSolver {
         memory_grid_(platform.memory_per_processor, options.grid.memory_points),
         delay_grid_(delay_upper_bound(chain, platform),
                     options.grid.delay_points),
-        transitions_(transition_size_heuristic()) {
+        k_floor_(static_cast<std::size_t>(chain.length()) + 1, 0),
+        panel_of_(static_cast<std::size_t>(chain.length() + 1) *
+                      static_cast<std::size_t>(options.grid.delay_points),
+                  -1),
+        special_stages_(options.allow_special ? panel_of_.size() : 0) {
     // reserve() (not the sizing constructor) so the avoided growth rehashes
     // are counted into the stats below.
     memo_.reserve(memo_size_heuristic());
@@ -196,13 +197,15 @@ class FlatDpSolver {
   }
 
  private:
-  /// One suspended evaluation of T(l, p, load, mem, delay). `k`/`opt` are
-  /// the resume position in the candidate scan (opt 0 = normal option of k
-  /// still to do, 1 = special option of k still to do).
+  /// One suspended evaluation of T(l, p, load, mem, delay); l and delay
+  /// are those of its panel. `k`/`opt` are the resume position in the
+  /// candidate scan (opt 0 = normal option of k still to do, 1 = special
+  /// option of k still to do).
   struct Frame {
     std::uint64_t key = 0;
-    int l = 0, p = 0, load_idx = 0, mem_idx = 0, delay_idx = 0;
+    int p = 0, load_idx = 0, mem_idx = 0;
     int k = 0;
+    int panel = 0;  ///< index into panels_ of this state's (l, delay_idx)
     std::uint8_t opt = 0;
     bool waiting = false;     ///< a child was pushed; consume last_value_
     double pending_floor = 0.0;  ///< max(load, link) of the suspended option
@@ -214,13 +217,32 @@ class FlatDpSolver {
                                   : platform_.processors;
   }
 
+  /// compute_transition for one (l, delay_idx), over k = l, l−1, …,
+  /// k_floor: `entries[l − k]` exists once some scan out of a state with this
+  /// (l, delay_idx) has reached k.
+  struct Panel {
+    std::vector<TransitionEntry> entries;
+    int l = 0;
+    int delay_idx = 0;
+    int k_floor = 1;  ///< the layer's static-memory break (l + 1 if none)
+  };
+
+  /// The special processor's base case for one (l, delay_idx): stage 1..l.
+  struct SpecialStage {
+    Seconds load = 0.0;
+    Bytes memory = 0.0;  ///< 𝓜(1,l,g−1)
+    bool known = false;
+  };
+
   std::size_t memo_size_heuristic() const {
     // Reachable states per layer scale with the delay grid and, when the
     // special processor may absorb stages, with a handful of distinct
-    // (load, mem) pairs; sized so typical probes never grow the table
-    // without over-reserving it (BENCH showed a ×8 factor left the table at
-    // ~0.26 occupancy; ×4 lands near 0.5 with zero growth rehashes — the
-    // memo_rehashes counter keeps this honest).
+    // (load, mem) pairs. A ×8 factor left the table at ~0.26 occupancy, so
+    // this guess is deliberately lean, and the busiest probes outgrow it:
+    // sequential phase 1 on resnet101 P8 M4 at the paper grid peaks at a
+    // load factor of 0.87 after 4 growth rehashes, and resnet101 P4 M8 at
+    // 0.87 with none. The memo_rehashes counter shows what a change to this
+    // guess does.
     const std::size_t per_layer =
         static_cast<std::size_t>(options_.grid.delay_points) *
         (options_.allow_special ? 4 : 1);
@@ -232,40 +254,79 @@ class FlatDpSolver {
                      static_cast<std::size_t>(1) << 20});
   }
 
-  std::size_t transition_size_heuristic() const {
-    const std::size_t pairs = static_cast<std::size_t>(chain_.length()) *
-                              static_cast<std::size_t>(chain_.length() + 1) /
-                              2;
-    return std::min(pairs * static_cast<std::size_t>(
-                                options_.grid.delay_points),
-                    static_cast<std::size_t>(1) << 17);
+  /// The static-memory break of layer l, found once per layer: the
+  /// smallest k such that no stage k′..l with k ≤ k′ ≤ l fails
+  /// stage_static_memory_exceeds — exactly where every scan of the layer
+  /// stops.
+  int static_memory_break(int l) {
+    int& k_floor = k_floor_[static_cast<std::size_t>(l)];
+    if (k_floor == 0) {
+      const Bytes limit = platform_.memory_per_processor;
+      int k = l;
+      while (k >= 1 && !stage_static_memory_exceeds(chain_, k, l, limit)) --k;
+      k_floor = k + 1;
+    }
+    return k_floor;
   }
 
-  /// compute_transition, cached per distinct (k, l, delay_idx) triple.
-  TransitionEntry transition(int k, int l, int delay_idx) {
+  /// Position of (l, delay_idx) in panel_of_ and special_stages_.
+  std::size_t pair_index(int l, int delay_idx) const {
+    return static_cast<std::size_t>(l) *
+               static_cast<std::size_t>(options_.grid.delay_points) +
+           static_cast<std::size_t>(delay_idx);
+  }
+
+  /// Index of the (l, delay_idx) panel, created empty on first use.
+  int resolve_panel(int l, int delay_idx) {
     ++stats_.transition_lookups;
-    const std::uint64_t key = pack_transition(k, l, delay_idx);
-    if (const TransitionEntry* hit = transitions_.find(key)) {
+    int& index = panel_of_[pair_index(l, delay_idx)];
+    if (index >= 0) {
       ++stats_.transition_hits;
-      return *hit;
+      return index;
     }
-    const TransitionEntry entry = compute_transition(
-        chain_, platform_, delay_grid_, target_, options_, k, l, delay_idx);
-    transitions_.emplace(key, entry);
-    return entry;
+    index = static_cast<int>(panels_.size());
+    Panel panel;
+    panel.l = l;
+    panel.delay_idx = delay_idx;
+    panel.k_floor = static_memory_break(l);
+    panels_.push_back(std::move(panel));
+    return index;
+  }
+
+  /// Entry l − k of a panel, computed when a scan first reaches k. Every
+  /// scan walks k = l, l−1, … in order, so the entry is either stored or
+  /// the next one to append. Returned by value: a child push may resolve a
+  /// new panel and grow panels_.
+  TransitionEntry transition(int panel_index, int k) {
+    Panel& panel = panels_[static_cast<std::size_t>(panel_index)];
+    const std::size_t i = static_cast<std::size_t>(panel.l - k);
+    if (i == panel.entries.size()) {
+      panel.entries.push_back(compute_transition(chain_, platform_,
+                                                 delay_grid_, target_,
+                                                 options_, k, panel.l,
+                                                 panel.delay_idx));
+    }
+    return panel.entries[i];
   }
 
   double base_l0(int load_idx) const { return load_grid_.value(load_idx); }
 
   /// p == 0: all remaining layers become one stage on the special processor.
-  double special_base(int l, int load_idx, int mem_idx, int delay_idx) const {
+  /// Its load and 𝓜(1,l,g−1) depend on (l, delay_idx) alone and are
+  /// computed once per pair.
+  double special_base(int l, int load_idx, int mem_idx, int delay_idx) {
     if (!options_.allow_special) return kInfinity;
-    const Seconds delay = delay_grid_.value(delay_idx);
-    const int g = activation_count(chain_, 1, l, delay, target_);
-    const Bytes memory = memory_grid_.value(mem_idx) +
-                         stage_memory(chain_, 1, l, g - 1);
+    SpecialStage& stage = special_stages_[pair_index(l, delay_idx)];
+    if (!stage.known) {
+      const Seconds delay = delay_grid_.value(delay_idx);
+      const int g = activation_count(chain_, 1, l, delay, target_);
+      stage.memory = stage_memory(chain_, 1, l, g - 1);
+      stage.load = chain_.compute_load(1, l);
+      stage.known = true;
+    }
+    const Bytes memory = memory_grid_.value(mem_idx) + stage.memory;
     if (memory > platform_.memory_per_processor) return kInfinity;
-    return chain_.compute_load(1, l) + load_grid_.value(load_idx);
+    return stage.load + load_grid_.value(load_idx);
   }
 
   void note_budget() {
@@ -274,24 +335,23 @@ class FlatDpSolver {
     warn_state_budget_once(g_flat_budget_warned);
   }
 
-  void push_frame(int l, int p, int load_idx, int mem_idx, int delay_idx) {
+  /// Push a frame for a state whose memo placeholder the caller has just
+  /// inserted. The placeholder keeps max_states accounting aligned with the
+  /// recursive reference, which counted in-progress states; it is never
+  /// read — a lookup can only reach a state with strictly smaller l than
+  /// every in-progress one.
+  void push_frame(std::uint64_t key, int l, int p, int load_idx, int mem_idx,
+                  int delay_idx) {
     Frame frame;
-    frame.key = pack_state(l, p, load_idx, mem_idx, delay_idx);
-    frame.l = l;
+    frame.key = key;
     frame.p = p;
     frame.load_idx = load_idx;
     frame.mem_idx = mem_idx;
-    frame.delay_idx = delay_idx;
     frame.k = l;
+    frame.panel = resolve_panel(l, delay_idx);
     frame.best = bound_;
     stack_.push_back(frame);
     ++stats_.dp_state_visits;
-    // Reserve the state immediately (probe 1 of 2): keeps max_states
-    // accounting aligned with the recursive reference, which counted
-    // in-progress states. The placeholder is never read — a lookup can only
-    // reach a state with strictly smaller l than every in-progress one.
-    memo_.emplace(frame.key, kInfinity);
-    ++stats_.memo_probes;
   }
 
   /// Value of (l, p, load, mem, delay) if immediately available; otherwise
@@ -302,16 +362,23 @@ class FlatDpSolver {
     if (l == 0) return base_l0(load_idx);
     if (p == 0) return special_base(l, load_idx, mem_idx, delay_idx);
     ++stats_.memo_child_lookups;
-    if (const double* value =
-            memo_.find(pack_state(l, p, load_idx, mem_idx, delay_idx))) {
-      ++stats_.memo_hits;
-      return *value;
-    }
+    const std::uint64_t key = pack_state(l, p, load_idx, mem_idx, delay_idx);
     if (memo_.size() >= options_.max_states) {
+      // Full: a hit still answers, a miss is cut by the budget.
+      if (const double* value = memo_.find(key)) {
+        ++stats_.memo_hits;
+        return *value;
+      }
       note_budget();
       return kInfinity;
     }
-    push_frame(l, p, load_idx, mem_idx, delay_idx);
+    // One probe finds the value or reserves the child's placeholder.
+    const auto [slot, inserted] = memo_.emplace(key, kInfinity);
+    if (!inserted) {
+      ++stats_.memo_hits;
+      return *slot;
+    }
+    push_frame(key, l, p, load_idx, mem_idx, delay_idx);
     return std::nullopt;
   }
 
@@ -322,7 +389,10 @@ class FlatDpSolver {
       note_budget();
       return kInfinity;
     }
-    push_frame(l, p, 0, 0, 0);
+    const std::uint64_t key = pack_state(l, p, 0, 0, 0);
+    memo_.emplace(key, kInfinity);
+    ++stats_.memo_probes;
+    push_frame(key, l, p, 0, 0, 0);
     while (!stack_.empty()) step();
     return last_value_;
   }
@@ -339,9 +409,11 @@ class FlatDpSolver {
       if (value < f.best) f.best = value;
     }
     const Bytes limit = platform_.memory_per_processor;
-    while (f.k >= 1) {
-      if (stage_static_memory_exceeds(chain_, f.k, f.l, limit)) break;
-      const TransitionEntry e = transition(f.k, f.l, f.delay_idx);
+    const int k_floor = panels_[static_cast<std::size_t>(f.panel)].k_floor;
+    const Bytes mem_value = memory_grid_.value(f.mem_idx);
+    const Seconds load_value = load_grid_.value(f.load_idx);
+    while (f.k >= k_floor) {
+      const TransitionEntry e = transition(f.panel, f.k);
 
       if (f.opt == 0) {
         // Option 1: stage k..l on a fresh normal processor.
@@ -373,12 +445,10 @@ class FlatDpSolver {
         if (e.stage_load >= f.best) break;
         continue;
       }
-      const Bytes special_memory =
-          memory_grid_.value(f.mem_idx) + e.special_stage_memory;
+      const Bytes special_memory = mem_value + e.special_stage_memory;
       if (special_memory > limit) continue;
       const Seconds special_load =
-          load_grid_.snap(load_grid_.value(f.load_idx) + e.stage_load,
-                          options_.grid.rounding);
+          load_grid_.snap(load_value + e.stage_load, options_.grid.rounding);
       const double floor = std::max(special_load, e.link_load);
       if (floor >= f.best) continue;
       const int next_load_idx =
@@ -396,9 +466,8 @@ class FlatDpSolver {
       if (value < f.best) f.best = value;
     }
 
-    // Candidate scan finished: final update (probe 2 of 2) and pop.
-    const auto [slot, inserted] = memo_.emplace(f.key, f.best);
-    if (!inserted) *slot = f.best;
+    // Candidate scan finished: overwrite the placeholder and pop.
+    *memo_.find(f.key) = f.best;
     ++stats_.memo_probes;
     last_value_ = f.best;
     stack_.pop_back();
@@ -424,8 +493,8 @@ class FlatDpSolver {
     // so each step re-derives the argmin with the same candidate order,
     // pruning, starting bound and strict-improvement rule as the forward
     // pass — every lookup it needs is either memoized or a base case, and
-    // the transition cache is shared, so this costs one candidate scan per
-    // stage.
+    // the transition panels are shared, so this costs one candidate scan
+    // per stage.
     std::vector<Stage> stages_reversed;
     std::vector<bool> special_reversed;
 
@@ -448,9 +517,10 @@ class FlatDpSolver {
       int best_next_load = load_idx;
       int best_next_mem = mem_idx;
       int best_next_delay = delay_idx;
-      for (int k = l; k >= 1; --k) {
-        if (stage_static_memory_exceeds(chain_, k, l, limit)) break;
-        const TransitionEntry e = transition(k, l, delay_idx);
+      const int panel = resolve_panel(l, delay_idx);
+      const int k_floor = panels_[static_cast<std::size_t>(panel)].k_floor;
+      for (int k = l; k >= k_floor; --k) {
+        const TransitionEntry e = transition(panel, k);
         if (e.normal_memory <= limit) {
           const double floor = std::max(e.stage_load, e.link_load);
           if (floor < best) {
@@ -540,7 +610,10 @@ class FlatDpSolver {
   Grid memory_grid_;
   Grid delay_grid_;
   util::FlatHash64<double> memo_;
-  util::FlatHash64<TransitionEntry> transitions_;
+  std::vector<int> k_floor_;   ///< per layer; 0 until the layer's first panel
+  std::vector<int> panel_of_;  ///< l · delay_points + delay_idx → panel, or −1
+  std::vector<Panel> panels_;
+  std::vector<SpecialStage> special_stages_;  ///< indexed like panel_of_
   std::vector<Frame> stack_;
   double last_value_ = kInfinity;
   bool budget_hit_ = false;

@@ -45,7 +45,7 @@ enum class DelayCommVariant {
 enum class DpEngine {
   /// Fast path (default): explicit work-stack iteration (no recursion-depth
   /// hazard at L = 4095), a flat open-addressing memo with 16-byte entries,
-  /// a (k, l, delay) transition cache, and dominated-candidate pruning.
+  /// per-(l, delay) transition panels, and dominated-candidate pruning.
   FlatIterative,
   /// The original recursive, std::unordered_map-memoized implementation;
   /// kept as the reference for equivalence testing.

@@ -1,5 +1,5 @@
 // Perf counters threaded through the planner hot path — MadPipe-DP's memo
-// and transition cache, Algorithm 1's bisection and the cyclic period
+// and transition panels, Algorithm 1's bisection and the cyclic period
 // search — so planner throughput is observable end to end: in unit tests, in
 // the bench harness (BENCH_planner.json) and in `madpipe planner`. The
 // planner-side sibling of solver::SolverStats.
@@ -21,9 +21,10 @@ struct PlannerStats {
   long long dp_probes = 0;       ///< madpipe_dp invocations
   long long dp_states = 0;       ///< states memoized across all probes
   long long dp_state_visits = 0; ///< state evaluations started (frames run)
-  /// Per-state memo operations: the entry placeholder insert plus the final
-  /// value update — exactly two hashings per visited state (the old
-  /// find/emplace/assign pattern did three).
+  /// Memo probes beyond the child lookups. Flat engine: each visited
+  /// state's final value update, plus the root's placeholder insert; a
+  /// child lookup that misses inserts the child's placeholder in its own
+  /// probe, so memo_probes + memo_child_lookups is every memo hashing.
   long long memo_probes = 0;
   long long memo_child_lookups = 0;  ///< child-value lookups in the k-loop
   long long memo_hits = 0;           ///< lookups (either kind) that hit
@@ -32,7 +33,10 @@ struct PlannerStats {
   /// pre-reserve causes) and the ones the up-front reserve skipped.
   long long memo_rehashes = 0;
   long long memo_rehashes_avoided = 0;
-  long long transition_lookups = 0;  ///< (k, l, delay) cache consultations
+  /// Flat engine: transition-panel resolutions, one per visited state and
+  /// one per reconstructed stage; hits found the (l, delay) panel already
+  /// made. The wavefront engine counts the panel entries it builds.
+  long long transition_lookups = 0;
   long long transition_hits = 0;
   long long state_budget_hits = 0;   ///< DP probes that tripped max_states
 

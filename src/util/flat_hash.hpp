@@ -95,12 +95,16 @@ class FlatHash64 {
 
   /// Single-probe insert-or-find: returns the value slot for `key` and
   /// whether it was newly inserted (in which case it holds a copy of
-  /// `value`). An existing entry is left untouched.
+  /// `value`). An existing entry is left untouched, and only an insert can
+  /// grow the table (growth probes once more).
   std::pair<Value*, bool> emplace(std::uint64_t key, const Value& value) {
     MP_EXPECT(key != kEmptyKey, "the all-ones key is reserved");
-    if ((size_ + 1) * 8 > slots_.size() * 7) rehash_for(size_ + 1);
     Slot* slot = probe_mutable(key);
     if (slot->key == key) return {&slot->value, false};
+    if ((size_ + 1) * 8 > slots_.size() * 7) {
+      rehash_for(size_ + 1);
+      slot = probe_mutable(key);
+    }
     slot->key = key;
     slot->value = value;
     ++size_;

@@ -9,9 +9,9 @@
 // Inputs: the ten perfbench pool cells at the paper grid (full-depth gpt2-xl
 // among them), each with default options, without the special processor and
 // with the paper-literal delay update; a multi-GiB chain whose whole-chain
-// weights do not fit one GPU, so every candidate scan stops at the
-// static-memory break before reaching k = 1; and the pool cells again under a
-// state budget that truncates.
+// weights do not fit one GPU, so the scans of its deeper layers stop at the
+// static-memory break before reaching k = 1; and the pool cells again under
+// a state budget that truncates.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -324,8 +324,9 @@ TEST(DpPanelsGolden, StateBudgetTruncation) {
 }
 
 TEST(DpPanelsGolden, MultiGibChainStopsAtTheStaticMemoryBreak) {
-  // 96 layers of 32 MB weights: 3 GiB in all against 2 GiB per GPU, so no
-  // scan reaches k = 1. On 4 GPUs no allocation fits; on 8 one does.
+  // 96 layers of 32 MB weights: 3 GiB in all against 2 GiB per GPU, so the
+  // scans of the deeper layers stop before k = 1. On 4 GPUs no allocation
+  // fits; on 8 one does.
   const Chain chain =
       make_uniform_chain(96, ms(2), ms(4), 32 * MB, 4 * MB, MB, "multigib");
   std::size_t next = 0;

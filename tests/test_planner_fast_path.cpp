@@ -191,9 +191,10 @@ TEST(PlannerFastPath, StateBudgetSetsFlagOnBothEngines) {
 }
 
 TEST(PlannerFastPath, MemoHashedAtMostTwicePerVisit) {
-  // Regression guard for the double-lookup fix: the flat engine touches the
-  // memo exactly twice per visited state (placeholder insert + final
-  // update); child lookups are tracked separately.
+  // Regression guard for the double-lookup fix: besides the child lookups
+  // (a miss inserts the child's placeholder in the same probe), the flat
+  // engine touches the memo once per visited state for its final update,
+  // plus once for the root's placeholder.
   for (const std::string& name : {std::string("resnet50"),
                                   std::string("densenet121")}) {
     const Chain chain = models::paper_network(name);
@@ -204,8 +205,8 @@ TEST(PlannerFastPath, MemoHashedAtMostTwicePerVisit) {
     EXPECT_GT(result.stats.dp_state_visits, 0) << name;
     EXPECT_LE(result.stats.memo_probes, 2 * result.stats.dp_state_visits)
         << name;
-    // The transition cache must actually be reused (reconstruct alone
-    // guarantees repeats of the winning path's triples).
+    // Transition panels must actually be shared (reconstruct alone
+    // resolves the winning path's panels a second time).
     EXPECT_GT(result.stats.transition_hits, 0) << name;
   }
 }

@@ -761,7 +761,7 @@ int cmd_planner(const Args& args) {
               stats.memo_max_load_factor, stats.memo_rehashes,
               stats.memo_rehashes_avoided);
   std::printf("  dp threads         %d\n", std::max(args.threads, 1));
-  std::printf("  transition cache   %lld lookups, %lld hits (%.1f%%)\n",
+  std::printf("  transition panels  %lld lookups, %lld hits (%.1f%%)\n",
               stats.transition_lookups, stats.transition_hits,
               stats.transition_lookups > 0
                   ? 100.0 * static_cast<double>(stats.transition_hits) /
