@@ -1,5 +1,5 @@
-// Two engines evaluate the MadPipe-DP recurrence (see dp.hpp for the
-// dispatch contract):
+// Two solvers evaluate the MadPipe-DP recurrence (see dp.hpp): madpipe_dp
+// runs FlatDpSolver, detail::madpipe_dp_reference runs ReferenceDpSolver.
 //
 //  * FlatDpSolver — the fast path. An explicit work-stack replaces the deep
 //    recursion (L can be 4095), and the memo is a flat open-addressing table
@@ -20,14 +20,6 @@
 //    value is min(bound, exact value) and the same pruning also drops every
 //    candidate that cannot beat the incumbent (DESIGN.md §7).
 //
-//  * WavefrontDpSolver — the parallel path (DESIGN.md §11). States are
-//    grouped into per-layer structure-of-arrays slabs; every transition
-//    strictly decreases l, so a layer's slab is complete before any lower
-//    layer is expanded, and each wavefront can be expanded by concurrent
-//    shards whose per-target-layer emission buffers are merged
-//    deterministically at the barrier. Periods and allocations are
-//    bit-identical to both other engines and across shard counts.
-//
 //  * ReferenceDpSolver — the original recursive, unordered_map-memoized
 //    implementation, kept verbatim as the semantic reference for the
 //    golden-equivalence tests.
@@ -42,12 +34,10 @@
 #include <vector>
 
 #include "core/memory_model.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/expect.hpp"
 #include "util/flat_hash.hpp"
 #include "util/logging.hpp"
-#include "util/threading.hpp"
 
 namespace madpipe {
 
@@ -82,13 +72,12 @@ bool stage_static_memory_exceeds(const Chain& chain, int k, int l,
   return weights_memory(chain, k, l) + chain.scratch_sum(k, l) > limit;
 }
 
-/// Per-engine atomic once-guards for the state-budget warning. Engines run
+/// Per-solver atomic once-guards for the state-budget warning. Solvers run
 /// concurrently (speculative bisection probes, serve workers), so a plain
 /// per-instance bool would emit one warning per probe; the exchange below
-/// elects exactly one emitter per engine kind. log::write assembles each
+/// elects exactly one emitter per solver. log::write assembles each
 /// line before a single locked write, so the elected line cannot interleave.
 std::atomic<bool> g_flat_budget_warned{false};
-std::atomic<bool> g_wavefront_budget_warned{false};
 std::atomic<bool> g_reference_budget_warned{false};
 std::atomic<long long> g_budget_warnings_emitted{0};
 
@@ -118,8 +107,8 @@ struct TransitionEntry {
   int active_batches = 0;  ///< g(k,l,V)
 };
 
-/// The transition math, shared by every engine (and reconstruction) so the
-/// bit-identity guarantees rest on literally the same float expressions.
+/// The transition math of the flat engine, shared by its forward pass and
+/// reconstruction so both rest on literally the same float expressions.
 TransitionEntry compute_transition(const Chain& chain, const Platform& platform,
                                    const Grid& delay_grid, Seconds target,
                                    const MadPipeDPOptions& options, int k,
@@ -621,555 +610,6 @@ class FlatDpSolver {
 };
 
 // ---------------------------------------------------------------------------
-// Wavefront engine (DESIGN.md §11)
-// ---------------------------------------------------------------------------
-//
-// Every transition strictly decreases l, so the states sharing a layer form
-// a wavefront whose slab is complete before any lower layer is expanded.
-// Two passes over the layers:
-//
-//  * discovery (l = L .. 1): each state of slab l emits the child of every
-//    memory-feasible candidate into per-shard, per-target-layer buffers; at
-//    the barrier the buffers are appended to the target slabs in shard
-//    order, deduped by an insertion-ordered key set. Shards are contiguous
-//    ranges of the slab, so the concatenation equals the serial emission
-//    sequence for ANY shard count — slab contents, their order, and the
-//    max_states truncation (applied during the ordered merge) are all
-//    bit-identical across thread counts.
-//
-//  * values (l = 1 .. L): with every child slab final and valued, a state's
-//    candidate scan is a pure function of read-only lower slabs, so shards
-//    write disjoint ranges of the value array. The scan reads SoA
-//    transition panels built once per (wavefront, delay index): candidate
-//    floors and normal-feasibility masks depend only on the panel, so they
-//    are hoisted out of the per-state loop into plain width-agnostic
-//    autovectorizable array sweeps.
-//
-// Why values are bit-identical to the serial engines: per candidate both
-// compute value = max(max(load, link), child) from the same
-// compute_transition outputs; min over candidates is order-independent; the
-// serial dominated-candidate pruning only skips candidates whose floor
-// already reaches the running best (which the strict-improvement rule could
-// never accept); and reconstruction — the same first-argmin re-derivation
-// in the same candidate order — depends only on those values. Discovery,
-// unlike FlatDpSolver, cannot prune on values it does not have yet, so the
-// slabs hold the full memory-feasible reachable set: exactly the states
-// ReferenceDpSolver memoizes (it recurses into every feasible candidate).
-class WavefrontDpSolver {
- public:
-  WavefrontDpSolver(const Chain& chain, const Platform& platform,
-                    Seconds target, const MadPipeDPOptions& options)
-      : chain_(chain),
-        platform_(platform),
-        target_(target),
-        options_(options),
-        load_grid_(chain.total_compute(), options.grid.load_points),
-        memory_grid_(platform.memory_per_processor, options.grid.memory_points),
-        delay_grid_(delay_upper_bound(chain, platform),
-                    options.grid.delay_points),
-        panel_of_delay_(options.grid.delay_points, -1) {}
-
-  MadPipeDPResult run() {
-    MadPipeDPResult result;
-    result.period = solve_root(chain_.length(), root_processors());
-    result.states_visited = static_cast<std::size_t>(total_states_);
-    result.state_budget_hit = budget_hit_;
-    if (std::isfinite(result.period)) {
-      reconstruct(result);
-    }
-    stats_.dp_probes = 1;
-    stats_.dp_states = total_states_;
-    stats_.dp_state_visits = total_states_;
-    stats_.state_budget_hits = budget_hit_ ? 1 : 0;
-    for (const Slab& slab : slabs_) {
-      stats_.memo_max_load_factor =
-          std::max(stats_.memo_max_load_factor, slab.states.load_factor());
-      stats_.memo_rehashes += static_cast<long long>(slab.states.rehashes());
-      stats_.memo_rehashes_avoided +=
-          static_cast<long long>(slab.states.rehashes_avoided());
-    }
-    result.stats = stats_;
-    return result;
-  }
-
- private:
-  /// Per-layer state slab: insertion-ordered keys plus a parallel value
-  /// array (the structure-of-arrays replacement for the flat memo's
-  /// key+value slots).
-  struct Slab {
-    util::IndexedKeySet64 states;
-    std::vector<double> values;
-  };
-
-  /// SoA candidate panel for one (wavefront l, delay_idx): arrays indexed
-  /// by k−1 for k = k_floor..l, i.e. one compute_transition output per
-  /// candidate split point, plus the panel-level floor/feasibility
-  /// precomputations. Entries below k_floor — the static-memory break point
-  /// every candidate scan stops at — are never read and never computed, so
-  /// panel construction stays O(stage window), not O(L), on multi-GiB
-  /// chains.
-  struct Panel {
-    std::vector<Seconds> stage_load;
-    std::vector<Seconds> link_load;
-    std::vector<Bytes> normal_memory;
-    std::vector<Bytes> special_stage_memory;
-    std::vector<int> next_delay_idx;
-    std::vector<double> normal_floor;          ///< max(stage, link) per k
-    std::vector<unsigned char> normal_feasible;  ///< 𝓜(k,l,g) ≤ M per k
-    int k_floor = 1;  ///< smallest k whose static memory fits M (l+1 if none)
-  };
-
-  static int unpack_p(std::uint64_t key) {
-    return static_cast<int>((key >> 30) & 0x7f);
-  }
-  static int unpack_load(std::uint64_t key) {
-    return static_cast<int>((key >> 20) & 0x3ff);
-  }
-  static int unpack_mem(std::uint64_t key) {
-    return static_cast<int>((key >> 10) & 0x3ff);
-  }
-  static int unpack_delay(std::uint64_t key) {
-    return static_cast<int>(key & 0x3ff);
-  }
-
-  int root_processors() const {
-    return options_.allow_special ? platform_.processors - 1
-                                  : platform_.processors;
-  }
-
-  int shards() const { return std::max(options_.threads, 1); }
-
-  double base_l0(int load_idx) const { return load_grid_.value(load_idx); }
-
-  /// p == 0: all remaining layers become one stage on the special processor.
-  double special_base(int l, int load_idx, int mem_idx, int delay_idx) const {
-    if (!options_.allow_special) return kInfinity;
-    const Seconds delay = delay_grid_.value(delay_idx);
-    const int g = activation_count(chain_, 1, l, delay, target_);
-    const Bytes memory = memory_grid_.value(mem_idx) +
-                         stage_memory(chain_, 1, l, g - 1);
-    if (memory > platform_.memory_per_processor) return kInfinity;
-    return chain_.compute_load(1, l) + load_grid_.value(load_idx);
-  }
-
-  void note_budget() {
-    if (budget_hit_) return;
-    budget_hit_ = true;
-    warn_state_budget_once(g_wavefront_budget_warned);
-  }
-
-  double solve_root(int l, int p) {
-    root_l_ = l;
-    if (l == 0) return base_l0(0);
-    if (p == 0) return special_base(l, 0, 0, 0);
-    if (options_.max_states == 0) {
-      note_budget();
-      return kInfinity;
-    }
-    slabs_.clear();
-    slabs_.resize(static_cast<std::size_t>(l) + 1);
-    const std::size_t per_slab = std::max<std::size_t>(
-        memo_size_heuristic() / static_cast<std::size_t>(l), 16);
-    for (int t = 1; t < l; ++t) slabs_[t].states.reserve(per_slab);
-    slabs_[l].states.insert(pack_state(l, p, 0, 0, 0));
-    total_states_ = 1;
-    ++stats_.memo_probes;
-    discover();
-    compute_values();
-    const Slab& root = slabs_[l];
-    return root.values.empty() ? kInfinity : root.values[0];
-  }
-
-  std::size_t memo_size_heuristic() const {
-    const std::size_t per_layer =
-        static_cast<std::size_t>(options_.grid.delay_points) *
-        (options_.allow_special ? 4 : 1);
-    const std::size_t guess = static_cast<std::size_t>(chain_.length()) *
-                              static_cast<std::size_t>(std::max(
-                                  root_processors(), 1)) *
-                              per_layer;
-    return std::min({guess, options_.max_states,
-                     static_cast<std::size_t>(1) << 20});
-  }
-
-  /// Rebuild the SoA panels for the distinct delay indices present in slab
-  /// l (first-occurrence order, so the panel list is deterministic).
-  void build_panels(int l) {
-    for (int d : panel_delays_) panel_of_delay_[d] = -1;
-    panel_delays_.clear();
-    const Slab& slab = slabs_[l];
-    for (std::size_t i = 0; i < slab.states.size(); ++i) {
-      const int d = unpack_delay(slab.states.key_at(i));
-      if (panel_of_delay_[d] < 0) {
-        panel_of_delay_[d] = static_cast<int>(panel_delays_.size());
-        panel_delays_.push_back(d);
-      }
-    }
-    if (panels_.size() < panel_delays_.size()) {
-      panels_.resize(panel_delays_.size());
-    }
-    // Panels are independent preallocated slots: build them concurrently.
-    par::parallel_for(
-        0, panel_delays_.size(),
-        [&](std::size_t pi) { build_panel(panels_[pi], l, panel_delays_[pi]); },
-        static_cast<std::size_t>(shards()));
-    if (!panel_delays_.empty()) {
-      const Panel& first = panels_[0];
-      stats_.transition_lookups +=
-          static_cast<long long>(panel_delays_.size()) *
-          static_cast<long long>(l - first.k_floor + 1);
-    }
-  }
-
-  void build_panel(Panel& panel, int l, int delay_idx) const {
-    const Bytes limit = platform_.memory_per_processor;
-    // The static-memory break point: every candidate scan stops at the
-    // smallest k whose weights+scratch term still fits M, so nothing below
-    // it is ever read.
-    int k_floor = l + 1;
-    while (k_floor > 1 &&
-           !stage_static_memory_exceeds(chain_, k_floor - 1, l, limit)) {
-      --k_floor;
-    }
-    panel.k_floor = k_floor;
-    const std::size_t n = static_cast<std::size_t>(l);
-    panel.stage_load.resize(n);
-    panel.link_load.resize(n);
-    panel.normal_memory.resize(n);
-    panel.special_stage_memory.resize(n);
-    panel.next_delay_idx.resize(n);
-    panel.normal_floor.resize(n);
-    panel.normal_feasible.resize(n);
-    for (int k = k_floor; k <= l; ++k) {
-      const TransitionEntry e = compute_transition(
-          chain_, platform_, delay_grid_, target_, options_, k, l, delay_idx);
-      const std::size_t i = static_cast<std::size_t>(k - 1);
-      panel.stage_load[i] = e.stage_load;
-      panel.link_load[i] = e.link_load;
-      panel.normal_memory[i] = e.normal_memory;
-      panel.special_stage_memory[i] = e.special_stage_memory;
-      panel.next_delay_idx[i] = e.next_delay_idx;
-    }
-    // Panel-level candidate precomputations, hoisted out of every per-state
-    // scan: width-agnostic loops the compiler can vectorize.
-    for (std::size_t i = static_cast<std::size_t>(k_floor - 1); i < n; ++i) {
-      panel.normal_floor[i] = std::max(panel.stage_load[i], panel.link_load[i]);
-    }
-    for (std::size_t i = static_cast<std::size_t>(k_floor - 1); i < n; ++i) {
-      panel.normal_feasible[i] = panel.normal_memory[i] <= limit ? 1 : 0;
-    }
-  }
-
-  void discover() {
-    for (int l = root_l_; l >= 1 && !budget_hit_; --l) {
-      Slab& slab = slabs_[l];
-      const std::size_t n = slab.states.size();
-      if (n == 0) continue;
-      obs::Span span("dp_wavefront", obs::kCatPlanner);
-      span.arg("layer", l);
-      span.arg("states", static_cast<long long>(n));
-      span.arg("pass", 0);
-      build_panels(l);
-      const std::size_t S =
-          std::min(static_cast<std::size_t>(shards()), n);
-      const std::size_t chunk = (n + S - 1) / S;
-      // buffers[s][t]: keys shard s emitted into target layer t (< l).
-      std::vector<std::vector<std::vector<std::uint64_t>>> buffers(S);
-      par::parallel_for(
-          0, S,
-          [&](std::size_t s) {
-            auto& per_layer = buffers[s];
-            per_layer.assign(static_cast<std::size_t>(l), {});
-            const std::size_t lo = s * chunk;
-            const std::size_t hi = std::min(n, lo + chunk);
-            for (std::size_t i = lo; i < hi; ++i) {
-              emit_children(l, slab.states.key_at(i), per_layer);
-            }
-          },
-          S);
-      // Deterministic merge: target layers near-to-far, shards in order.
-      for (int t = l - 1; t >= 1 && !budget_hit_; --t) {
-        Slab& target = slabs_[t];
-        for (std::size_t s = 0; s < S; ++s) {
-          const std::vector<std::uint64_t>& buf = buffers[s][t];
-          if (buf.empty()) continue;
-          stats_.memo_probes += static_cast<long long>(buf.size());
-          const std::size_t before = target.states.size();
-          const std::size_t cap =
-              before + (options_.max_states -
-                        static_cast<std::size_t>(total_states_));
-          const bool fit = target.states.merge_shard(
-              buf.data(), buf.data() + buf.size(), cap);
-          total_states_ +=
-              static_cast<long long>(target.states.size() - before);
-          if (!fit) {
-            note_budget();
-            break;
-          }
-        }
-      }
-    }
-  }
-
-  /// Append every memory-feasible candidate's memoized child (l′ ≥ 1,
-  /// p′ ≥ 1; base cases are evaluated inline in the value pass) to the
-  /// shard's per-target-layer buffers, in the serial k = l..1 scan order.
-  void emit_children(int l, std::uint64_t key,
-                     std::vector<std::vector<std::uint64_t>>& out) const {
-    const int p = unpack_p(key);
-    const int load_idx = unpack_load(key);
-    const int mem_idx = unpack_mem(key);
-    const int delay_idx = unpack_delay(key);
-    const Panel& panel = panels_[panel_of_delay_[delay_idx]];
-    const Bytes limit = platform_.memory_per_processor;
-    const Bytes mem_value = memory_grid_.value(mem_idx);
-    const Seconds load_value = load_grid_.value(load_idx);
-    // k == 1 children land on base cases; k < k_floor fails both options'
-    // memory checks (the static-memory break shared with the other engines).
-    for (int k = l; k >= std::max(panel.k_floor, 2); --k) {
-      const std::size_t i = static_cast<std::size_t>(k - 1);
-      if (panel.normal_feasible[i] && p > 1) {
-        out[i].push_back(pack_state(k - 1, p - 1, load_idx, mem_idx,
-                                    panel.next_delay_idx[i]));
-      }
-      if (!options_.allow_special) continue;
-      const Bytes special_memory = mem_value + panel.special_stage_memory[i];
-      if (special_memory > limit) continue;
-      const Seconds special_load = load_grid_.snap(
-          load_value + panel.stage_load[i], options_.grid.rounding);
-      const int next_load_idx =
-          load_grid_.index(special_load, options_.grid.rounding);
-      const int next_mem_idx = memory_grid_.index(
-          std::min(special_memory, limit), options_.grid.rounding);
-      out[i].push_back(pack_state(k - 1, p, next_load_idx, next_mem_idx,
-                                  panel.next_delay_idx[i]));
-    }
-  }
-
-  void compute_values() {
-    for (int l = 1; l <= root_l_; ++l) {
-      Slab& slab = slabs_[l];
-      const std::size_t n = slab.states.size();
-      if (n == 0) continue;
-      obs::Span span("dp_wavefront", obs::kCatPlanner);
-      span.arg("layer", l);
-      span.arg("states", static_cast<long long>(n));
-      span.arg("pass", 1);
-      build_panels(l);
-      slab.values.assign(n, kInfinity);
-      const std::size_t S =
-          std::min(static_cast<std::size_t>(shards()), n);
-      const std::size_t chunk = (n + S - 1) / S;
-      std::vector<PlannerStats> shard_stats(S);
-      par::parallel_for(
-          0, S,
-          [&](std::size_t s) {
-            const std::size_t lo = s * chunk;
-            const std::size_t hi = std::min(n, lo + chunk);
-            PlannerStats& st = shard_stats[s];
-            for (std::size_t i = lo; i < hi; ++i) {
-              slab.values[i] = state_value(l, slab.states.key_at(i), st);
-            }
-          },
-          S);
-      for (const PlannerStats& st : shard_stats) {
-        stats_.memo_child_lookups += st.memo_child_lookups;
-        stats_.memo_hits += st.memo_hits;
-      }
-    }
-  }
-
-  /// T(l, p, t_P, m_P, V) from the finalized lower slabs: the serial
-  /// candidate scan (same order, same floats, same strict-improvement and
-  /// pruning rules), with the panel-hoisted floors and feasibility masks.
-  double state_value(int l, std::uint64_t key, PlannerStats& st) const {
-    const int p = unpack_p(key);
-    const int load_idx = unpack_load(key);
-    const int mem_idx = unpack_mem(key);
-    const int delay_idx = unpack_delay(key);
-    const Panel& panel = panels_[panel_of_delay_[delay_idx]];
-    const Bytes limit = platform_.memory_per_processor;
-    double best = kInfinity;
-    for (int k = l; k >= panel.k_floor; --k) {
-      const std::size_t i = static_cast<std::size_t>(k - 1);
-      if (panel.normal_feasible[i]) {
-        const double floor = panel.normal_floor[i];
-        if (floor < best) {
-          const double sub = child_value(k - 1, p - 1, load_idx, mem_idx,
-                                         panel.next_delay_idx[i], st);
-          const double value = std::max(floor, sub);
-          if (value < best) best = value;
-        }
-      }
-      if (!options_.allow_special) {
-        if (panel.stage_load[i] >= best) break;
-        continue;
-      }
-      const Bytes special_memory =
-          memory_grid_.value(mem_idx) + panel.special_stage_memory[i];
-      if (special_memory > limit) continue;
-      const Seconds special_load = load_grid_.snap(
-          load_grid_.value(load_idx) + panel.stage_load[i],
-          options_.grid.rounding);
-      const double floor = std::max(special_load, panel.link_load[i]);
-      if (floor >= best) continue;
-      const int next_load_idx =
-          load_grid_.index(special_load, options_.grid.rounding);
-      const int next_mem_idx = memory_grid_.index(
-          std::min(special_memory, limit), options_.grid.rounding);
-      const double sub = child_value(k - 1, p, next_load_idx, next_mem_idx,
-                                     panel.next_delay_idx[i], st);
-      const double value = std::max(floor, sub);
-      if (value < best) best = value;
-    }
-    return best;
-  }
-
-  /// Slab-backed child value; a miss means the state budget dropped the
-  /// state, which discovery also stopped below.
-  double child_value(int l, int p, int load_idx, int mem_idx, int delay_idx,
-                     PlannerStats& st) const {
-    if (l == 0) return base_l0(load_idx);
-    if (p == 0) return special_base(l, load_idx, mem_idx, delay_idx);
-    ++st.memo_child_lookups;
-    const std::int32_t idx =
-        slabs_[l].states.find(pack_state(l, p, load_idx, mem_idx, delay_idx));
-    if (idx < 0) return kInfinity;
-    ++st.memo_hits;
-    return slabs_[l].values[static_cast<std::size_t>(idx)];
-  }
-
-  double lookup_value(int l, int p, int load_idx, int mem_idx, int delay_idx) {
-    return child_value(l, p, load_idx, mem_idx, delay_idx, stats_);
-  }
-
-  void reconstruct(MadPipeDPResult& result) {
-    // Identical to FlatDpSolver::reconstruct — the same first-argmin
-    // re-derivation in the same candidate order — against slab lookups and
-    // uncached transitions.
-    std::vector<Stage> stages_reversed;
-    std::vector<bool> special_reversed;
-
-    int l = chain_.length();
-    int p = root_processors();
-    int load_idx = 0;
-    int mem_idx = 0;
-    int delay_idx = 0;
-    const Bytes limit = platform_.memory_per_processor;
-
-    while (l > 0) {
-      if (p == 0) {
-        stages_reversed.push_back(Stage{1, l});
-        special_reversed.push_back(true);
-        break;
-      }
-      double best = kInfinity;
-      int best_k = -1;
-      bool best_special = false;
-      int best_next_load = load_idx;
-      int best_next_mem = mem_idx;
-      int best_next_delay = delay_idx;
-      for (int k = l; k >= 1; --k) {
-        if (stage_static_memory_exceeds(chain_, k, l, limit)) break;
-        const TransitionEntry e = compute_transition(
-            chain_, platform_, delay_grid_, target_, options_, k, l,
-            delay_idx);
-        if (e.normal_memory <= limit) {
-          const double floor = std::max(e.stage_load, e.link_load);
-          if (floor < best) {
-            const double sub =
-                lookup_value(k - 1, p - 1, load_idx, mem_idx,
-                             e.next_delay_idx);
-            const double value = std::max(floor, sub);
-            if (value < best) {
-              best = value;
-              best_k = k;
-              best_special = false;
-              best_next_delay = e.next_delay_idx;
-            }
-          }
-        }
-        if (!options_.allow_special) {
-          if (e.stage_load >= best) break;
-          continue;
-        }
-        const Bytes special_memory =
-            memory_grid_.value(mem_idx) + e.special_stage_memory;
-        if (special_memory > limit) continue;
-        const Seconds special_load =
-            load_grid_.snap(load_grid_.value(load_idx) + e.stage_load,
-                            options_.grid.rounding);
-        const double floor = std::max(special_load, e.link_load);
-        if (floor >= best) continue;
-        const int next_load_idx =
-            load_grid_.index(special_load, options_.grid.rounding);
-        const int next_mem_idx = memory_grid_.index(
-            std::min(special_memory, limit), options_.grid.rounding);
-        const double sub = lookup_value(k - 1, p, next_load_idx,
-                                        next_mem_idx, e.next_delay_idx);
-        const double value = std::max(floor, sub);
-        if (value < best) {
-          best = value;
-          best_k = k;
-          best_special = true;
-          best_next_load = next_load_idx;
-          best_next_mem = next_mem_idx;
-          best_next_delay = e.next_delay_idx;
-        }
-      }
-      MP_ENSURE(best_k >= 1, "reconstruction fell off the memoized path");
-
-      stages_reversed.push_back(Stage{best_k, l});
-      special_reversed.push_back(best_special);
-      if (best_special) {
-        load_idx = best_next_load;
-        mem_idx = best_next_mem;
-      } else {
-        --p;
-      }
-      delay_idx = best_next_delay;
-      l = best_k - 1;
-    }
-
-    std::vector<Stage> stages(stages_reversed.rbegin(), stages_reversed.rend());
-    std::vector<bool> special(special_reversed.rbegin(),
-                              special_reversed.rend());
-
-    const int normal_count = root_processors();
-    std::vector<int> procs(stages.size());
-    int next_normal = 0;
-    for (std::size_t s = 0; s < stages.size(); ++s) {
-      if (special[s]) {
-        procs[s] = platform_.processors - 1;
-        result.uses_special = true;
-      } else {
-        MP_ENSURE(next_normal < normal_count,
-                  "more normal stages than normal processors");
-        procs[s] = next_normal++;
-      }
-    }
-    result.allocation.emplace(Partitioning(chain_, std::move(stages)),
-                              std::move(procs), platform_.processors);
-  }
-
-  const Chain& chain_;
-  const Platform& platform_;
-  Seconds target_;
-  MadPipeDPOptions options_;
-  Grid load_grid_;
-  Grid memory_grid_;
-  Grid delay_grid_;
-  std::vector<Slab> slabs_;
-  std::vector<Panel> panels_;       ///< reused slots for the current wavefront
-  std::vector<int> panel_of_delay_; ///< delay_idx → index into panels_, or −1
-  std::vector<int> panel_delays_;   ///< distinct delays, first-occurrence order
-  int root_l_ = 0;
-  long long total_states_ = 0;
-  bool budget_hit_ = false;
-  PlannerStats stats_;
-};
-
-// ---------------------------------------------------------------------------
 // Reference engine (the original recursive implementation)
 // ---------------------------------------------------------------------------
 
@@ -1408,12 +848,9 @@ class ReferenceDpSolver {
   PlannerStats stats_;
 };
 
-}  // namespace
-
-MadPipeDPResult madpipe_dp(const Chain& chain, const Platform& platform,
-                           Seconds target_period,
-                           const MadPipeDPOptions& options,
-                           Seconds incumbent) {
+void expect_valid_probe(const Chain& chain, const Platform& platform,
+                        Seconds target_period, const MadPipeDPOptions& options,
+                        Seconds incumbent) {
   platform.validate();
   MP_EXPECT(target_period > 0.0, "target period must be positive");
   MP_EXPECT(incumbent > 0.0, "incumbent bound must be positive");
@@ -1424,36 +861,28 @@ MadPipeDPResult madpipe_dp(const Chain& chain, const Platform& platform,
                 options.grid.memory_points <= 1024 &&
                 options.grid.delay_points <= 1024,
             "grids must fit the packed state (≤ 1024 points each)");
+}
 
-  obs::Span span("dp_probe", obs::kCatPlanner);
-  MadPipeDPResult result;
-  // threads > 1 routes the default engine to the wavefront path; the shard
-  // count (not the pool) defines the decomposition, so results match the
-  // serial engines bit for bit (DESIGN.md §11).
-  const bool wavefront =
-      options.engine == DpEngine::ParallelWavefront ||
-      (options.engine == DpEngine::FlatIterative && options.threads > 1);
-  if (options.engine == DpEngine::ReferenceRecursive) {
-    ReferenceDpSolver solver(chain, platform, target_period, options);
-    result = solver.run();
-  } else if (wavefront) {
-    static obs::Gauge& threads_gauge = obs::Registry::global().gauge(
-        "madpipe_dp_threads",
-        "Shard count of the most recent wavefront DP probe");
-    threads_gauge.set(std::max(options.threads, 1));
-    WavefrontDpSolver solver(chain, platform, target_period, options);
-    result = solver.run();
-  } else {
-    FlatDpSolver solver(chain, platform, target_period, options, incumbent);
-    result = solver.run();
-  }
-  // The other engines ignore the bound while solving; all three report a
-  // value at or above it the same way.
+/// Report a root value at or above the bound as "+∞, no allocation".
+void cut_at_bound(MadPipeDPResult& result, Seconds incumbent) {
   if (!(result.period < incumbent)) {
     result.period = kInfinity;
     result.allocation.reset();
     result.uses_special = false;
   }
+}
+
+}  // namespace
+
+MadPipeDPResult madpipe_dp(const Chain& chain, const Platform& platform,
+                           Seconds target_period,
+                           const MadPipeDPOptions& options,
+                           Seconds incumbent) {
+  expect_valid_probe(chain, platform, target_period, options, incumbent);
+  obs::Span span("dp_probe", obs::kCatPlanner);
+  FlatDpSolver solver(chain, platform, target_period, options, incumbent);
+  MadPipeDPResult result = solver.run();
+  cut_at_bound(result, incumbent);
   span.arg("states", static_cast<long long>(result.states_visited));
   span.arg("budget_hit", result.state_budget_hit ? 1 : 0);
   return result;
@@ -1461,9 +890,21 @@ MadPipeDPResult madpipe_dp(const Chain& chain, const Platform& platform,
 
 namespace detail {
 
+MadPipeDPResult madpipe_dp_reference(const Chain& chain,
+                                     const Platform& platform,
+                                     Seconds target_period,
+                                     const MadPipeDPOptions& options,
+                                     Seconds incumbent) {
+  expect_valid_probe(chain, platform, target_period, options, incumbent);
+  ReferenceDpSolver solver(chain, platform, target_period, options);
+  MadPipeDPResult result = solver.run();
+  // The reference solves unbounded and applies the bound to the root value.
+  cut_at_bound(result, incumbent);
+  return result;
+}
+
 void reset_state_budget_warnings() noexcept {
   g_flat_budget_warned.store(false, std::memory_order_relaxed);
-  g_wavefront_budget_warned.store(false, std::memory_order_relaxed);
   g_reference_budget_warned.store(false, std::memory_order_relaxed);
   g_budget_warnings_emitted.store(0, std::memory_order_relaxed);
 }

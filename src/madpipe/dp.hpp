@@ -15,7 +15,9 @@
 //
 // Continuous quantities are discretized on the grids of `Discretization`;
 // the recursion is memoized on packed state keys, so only reachable states
-// are ever evaluated.
+// are ever evaluated. madpipe_dp is the one production engine (an iterative
+// flat-memo solver); detail::madpipe_dp_reference keeps the original
+// recursive solver as the reference it must match bit for bit.
 #pragma once
 
 #include <limits>
@@ -40,31 +42,9 @@ enum class DelayCommVariant {
   PaperLiteral,
 };
 
-/// Which DP implementation evaluates the recurrence. Both produce identical
-/// periods and allocations; the golden-equivalence tests enforce it.
-enum class DpEngine {
-  /// Fast path (default): explicit work-stack iteration (no recursion-depth
-  /// hazard at L = 4095), a flat open-addressing memo with 16-byte entries,
-  /// per-(l, delay) transition panels, and dominated-candidate pruning.
-  FlatIterative,
-  /// The original recursive, std::unordered_map-memoized implementation;
-  /// kept as the reference for equivalence testing.
-  ReferenceRecursive,
-  /// Wavefront engine: states are grouped into per-layer structure-of-arrays
-  /// slabs (all transitions strictly decrease l, so layer L's slab is final
-  /// before layer L−1 is expanded); each wavefront is expanded by
-  /// `MadPipeDPOptions::threads` shards on the shared thread pool, with
-  /// per-shard emission buffers merged deterministically at the barrier.
-  /// Periods, allocations and states are bit-identical across thread counts
-  /// and identical in period/allocation to the other two engines
-  /// (DESIGN.md §11).
-  ParallelWavefront,
-};
-
 struct MadPipeDPOptions {
   Discretization grid;
   DelayCommVariant delay_comm_variant = DelayCommVariant::BoundaryConsistent;
-  DpEngine engine = DpEngine::FlatIterative;
   /// When false, the special processor is removed and all P processors are
   /// normal — MadPipe degrades to a memory-aware *contiguous* partitioner
   /// (the ablation of DESIGN.md).
@@ -72,11 +52,6 @@ struct MadPipeDPOptions {
   /// Abort (treat as infeasible) past this many memoized states; a safety
   /// valve for extreme grids, never hit with the presets.
   std::size_t max_states = 80'000'000;
-  /// Shard count for the wavefront engine. Values > 1 route FlatIterative
-  /// probes to DpEngine::ParallelWavefront. Shards — not pool threads —
-  /// define the work decomposition, so results are bit-identical whatever
-  /// the pool actually runs them on (including serially).
-  int threads = 1;
 };
 
 struct MadPipeDPResult {
@@ -103,10 +78,9 @@ struct MadPipeDPResult {
 /// incumbent. The result is exact whenever the true value lies below
 /// `incumbent`; otherwise it is "period +∞, no allocation". Under a finite
 /// bound, +∞ therefore means "infeasible or no better than the incumbent".
-/// FlatIterative starts every state's running best at the bound, so the
-/// dominated-candidate pruning also drops the candidates that cannot beat
-/// it (fewer states, same period and allocation below the bound); the other
-/// two engines solve unbounded and apply the same cut to the root value.
+/// Every state's running best starts at the bound, so the dominated-candidate
+/// pruning also drops the candidates that cannot beat it (fewer states, same
+/// period and allocation below the bound).
 MadPipeDPResult madpipe_dp(
     const Chain& chain, const Platform& platform, Seconds target_period,
     const MadPipeDPOptions& options = {},
@@ -114,11 +88,20 @@ MadPipeDPResult madpipe_dp(
 
 namespace detail {
 
+/// The original recursive, unordered_map-memoized MadPipe-DP: the semantic
+/// reference the equivalence tests hold madpipe_dp to. Same contract as
+/// madpipe_dp (it solves unbounded and cuts the root value at `incumbent`),
+/// bit-identical periods and allocations, far slower.
+MadPipeDPResult madpipe_dp_reference(
+    const Chain& chain, const Platform& platform, Seconds target_period,
+    const MadPipeDPOptions& options = {},
+    Seconds incumbent = std::numeric_limits<double>::infinity());
+
 /// Test hooks for the state-budget "warn once" valve. The warning is
-/// emitted at most once per process *per engine* through an atomic guard,
-/// so concurrent speculative probes (and serve workers) sharing an engine
-/// kind produce exactly one log line; every probe still reports
-/// `state_budget_hit` in its own result.
+/// emitted at most once per process *per solver* (madpipe_dp and the
+/// reference) through an atomic guard, so concurrent speculative probes
+/// (and serve workers) produce exactly one log line; every probe still
+/// reports `state_budget_hit` in its own result.
 void reset_state_budget_warnings() noexcept;
 long long state_budget_warning_count() noexcept;
 

@@ -35,7 +35,7 @@ struct PlannerStats {
   long long memo_rehashes_avoided = 0;
   /// Flat engine: transition-panel resolutions, one per visited state and
   /// one per reconstructed stage; hits found the (l, delay) panel already
-  /// made. The wavefront engine counts the panel entries it builds.
+  /// made.
   long long transition_lookups = 0;
   long long transition_hits = 0;
   long long state_budget_hits = 0;   ///< DP probes that tripped max_states

@@ -30,7 +30,7 @@ bool known_field(const std::string& key, const char* const* allowed,
 }
 
 /// Per-request option knobs: a strict subset of MadPipeOptions (all fields
-/// that are part of the cache key; engine/speculation/workers knobs are
+/// that are part of the cache key; the speculation/workers knobs are
 /// result-invariant and stay server-side), plus the serve-level `timings`
 /// and `explain` flags (request a phase-timing block / an ExplainSummary in
 /// the response — never part of the cache key, they cannot change the plan).

@@ -41,10 +41,10 @@ void append_int(std::string& out, long long v) {
   out += '|';
 }
 
-/// The result-determining option fields. Speculation widths, worker counts
-/// and the DP engine are deliberately left out: each is bit-identical by
-/// construction (enforced by the golden-equivalence tests), so requests
-/// differing only in those must share a cache entry.
+/// The result-determining option fields. Speculation widths and worker
+/// counts are deliberately left out: each is bit-identical by construction
+/// (enforced by the speculation-invariance tests), so requests differing
+/// only in those must share a cache entry.
 void append_options(std::string& out, const PlanRequest& request) {
   const MadPipeOptions& o = request.options;
   out += "plan=";

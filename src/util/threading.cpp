@@ -39,8 +39,9 @@ ThreadPool::~ThreadPool() {
 
 ThreadPool& ThreadPool::shared() {
   // Floor of 3 parked workers so explicitly requested parallelism (tests,
-  // --threads) exercises real concurrency even on single-core hosts; idle
-  // workers park on the condvar, so the floor costs nothing at rest.
+  // speculative probes) exercises real concurrency even on single-core
+  // hosts; idle workers park on the condvar, so the floor costs nothing at
+  // rest.
   static ThreadPool pool(std::max<std::size_t>(default_workers(), 4) - 1);
   return pool;
 }

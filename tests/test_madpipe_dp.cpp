@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/memory_model.hpp"
@@ -186,7 +188,12 @@ TEST(MadPipeDpBudget, ExhaustedBudgetWarnsOncePerEngineAcrossThreads) {
   const Chain c = make_uniform_chain(12, ms(2), ms(4), MB, 20 * MB, MB);
   const Platform p{4, 2 * GB, 12 * GB};
 
-  for (const auto engine : {DpEngine::FlatIterative, DpEngine::ReferenceRecursive}) {
+  using Solver = MadPipeDPResult (*)(const Chain&, const Platform&, Seconds,
+                                     const MadPipeDPOptions&, Seconds);
+  const std::pair<const char*, Solver> solvers[] = {
+      {"madpipe_dp", &madpipe_dp},
+      {"reference", &detail::madpipe_dp_reference}};
+  for (const auto& [name, solve] : solvers) {
     detail::reset_state_budget_warnings();
     constexpr int kThreads = 8;
     std::atomic<int> budget_hits{0};
@@ -194,9 +201,9 @@ TEST(MadPipeDpBudget, ExhaustedBudgetWarnsOncePerEngineAcrossThreads) {
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&] {
         MadPipeDPOptions options = fine_grid();
-        options.engine = engine;
         options.max_states = 1;  // guaranteed to trip immediately
-        const auto result = madpipe_dp(c, p, c.total_compute() / 4, options);
+        const auto result = solve(c, p, c.total_compute() / 4, options,
+                                  std::numeric_limits<double>::infinity());
         if (result.state_budget_hit) {
           budget_hits.fetch_add(1, std::memory_order_relaxed);
         }
@@ -204,19 +211,18 @@ TEST(MadPipeDpBudget, ExhaustedBudgetWarnsOncePerEngineAcrossThreads) {
     }
     for (std::thread& thread : threads) thread.join();
     // Every probe saw (and reported) the truncation...
-    EXPECT_EQ(budget_hits.load(), kThreads) << static_cast<int>(engine);
+    EXPECT_EQ(budget_hits.load(), kThreads) << name;
     // ...but only one warning was emitted for the whole stampede.
-    EXPECT_EQ(detail::state_budget_warning_count(), 1)
-        << static_cast<int>(engine);
+    EXPECT_EQ(detail::state_budget_warning_count(), 1) << name;
   }
 
-  // The guard latches: a later hit on the same engine stays silent. (The
-  // Reference engine is the one whose guard is still armed — the loop above
-  // reset both guards before its Reference round.)
+  // The guard latches: a later hit on the same solver stays silent. (The
+  // reference is the one whose guard is still armed — the loop above reset
+  // both guards before its reference round.)
   MadPipeDPOptions options = fine_grid();
-  options.engine = DpEngine::ReferenceRecursive;
   options.max_states = 1;
-  const auto again = madpipe_dp(c, p, c.total_compute() / 4, options);
+  const auto again =
+      detail::madpipe_dp_reference(c, p, c.total_compute() / 4, options);
   EXPECT_TRUE(again.state_budget_hit);
   EXPECT_EQ(detail::state_budget_warning_count(), 1);
   detail::reset_state_budget_warnings();

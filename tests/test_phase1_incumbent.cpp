@@ -3,8 +3,8 @@
 // bound. The bound may only remove work. Algorithm 1's period, allocation
 // and special-processor flag must stay bit for bit those of the unbounded
 // search, the per-iteration trace must not depend on the speculation width,
-// and a single bounded probe must be the unbounded one cut at the bound, on
-// every engine.
+// and a single bounded probe must be the unbounded one cut at the bound, in
+// madpipe_dp and in the reference solver.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -205,7 +205,7 @@ void expect_cut_at_bound(const MadPipeDPResult& bounded,
 }
 
 // (c) A bounded probe equals the unbounded one below the bound and is
-// "+∞, no allocation" at or above it, on every engine, for random targets
+// "+∞, no allocation" at or above it, in both solvers, for random targets
 // and bounds (including the unbounded period itself and its neighbours).
 TEST(Phase1Incumbent, BoundedProbeIsTheUnboundedOneCutAtTheBound) {
   int exact = 0;
@@ -222,16 +222,14 @@ TEST(Phase1Incumbent, BoundedProbeIsTheUnboundedOneCutAtTheBound) {
       const Seconds lower = chain.total_compute() / gpus;
       const Seconds target =
           lower + unit(rng) * (chain.total_compute() - lower);
-      for (const DpEngine engine :
-           {DpEngine::FlatIterative, DpEngine::ReferenceRecursive,
-            DpEngine::ParallelWavefront}) {
+      for (const bool reference : {false, true}) {
+        const auto solve =
+            reference ? &detail::madpipe_dp_reference : &madpipe_dp;
         MadPipeDPOptions options;
         options.grid = Discretization::coarse();
-        options.engine = engine;
-        options.threads = engine == DpEngine::ParallelWavefront ? 2 : 1;
         options.allow_special = seed % 5 != 0;
         const MadPipeDPResult unbounded =
-            madpipe_dp(chain, platform, target, options);
+            solve(chain, platform, target, options, kInf);
         const Seconds base = std::isfinite(unbounded.period)
                                  ? unbounded.period
                                  : chain.total_compute();
@@ -245,13 +243,13 @@ TEST(Phase1Incumbent, BoundedProbeIsTheUnboundedOneCutAtTheBound) {
         for (const Seconds bound : bounds) {
           const std::string what =
               "seed " + std::to_string(seed) + " draw " +
-              std::to_string(draw) + " engine " +
-              std::to_string(static_cast<int>(engine)) + " bound " +
+              std::to_string(draw) +
+              (reference ? " reference" : " madpipe_dp") + " bound " +
               std::to_string(bound);
           const MadPipeDPResult bounded =
-              madpipe_dp(chain, platform, target, options, bound);
+              solve(chain, platform, target, options, bound);
           expect_cut_at_bound(bounded, unbounded, bound, what);
-          if (engine == DpEngine::FlatIterative) {
+          if (!reference) {
             EXPECT_LE(bounded.states_visited, unbounded.states_visited)
                 << what;
           }

@@ -132,11 +132,10 @@ TEST(ServeRequest, ResultDeterminingOptionsChangeKey) {
 
 TEST(ServeRequest, ResultInvariantOptionsShareKey) {
   const CanonicalRequest base = canonicalize(make_request());
-  // Engine, speculation and worker counts are bit-identical by construction
+  // Speculation widths and worker counts are bit-identical by construction
   // (enforced by the planner equivalence tests) — they must not split the
   // cache.
   PlanRequest tweaked = make_request();
-  tweaked.options.phase1.dp.engine = DpEngine::ReferenceRecursive;
   tweaked.options.phase1.speculation = 3;
   tweaked.options.phase1.workers = 7;
   tweaked.options.phase2.speculation = 2;

@@ -16,7 +16,7 @@ Supported schemas:
     percentiles ordered and sane, overload accounting exact (served +
     rejected = frames, shed under an over-budget burst), and the hit
     throughput floor enforced on hosts with >= 8 hardware threads (the
-    document records hardware_threads, like parallel_scaling).
+    document records hardware_threads).
   * madpipe-bench-solver-v1 (bench_solver): structural checks on the LP /
     MILP workload records; --reference pins each workload's solver status
     (optimal/feasible) — timings and node counts are machine-dependent,
@@ -67,8 +67,8 @@ WORKLOAD_FIELDS = {
     "dp_states": int,
 }
 
-# Present only in documents produced after the wavefront-DP work (memo
-# rehashes) or the per-phase speculation split (phase2_*); the committed
+# Present only in documents produced after the memo-rehash counters or the
+# per-phase speculation split (phase2_*); the committed
 # seed predates them, so they are validated when present but never
 # required.
 OPTIONAL_STATS_FIELDS = {
@@ -117,7 +117,7 @@ def check_fields(obj, fields, where):
 
 
 # Perf floors only bind on hosts with at least this many hardware threads:
-# a 1-core CI runner cannot demonstrate scaling or sustained throughput, but
+# a 1-core CI runner cannot demonstrate sustained throughput, but
 # it also must not fail for that. Every gated floor in this file goes
 # through enforce_hardware_gated_floor so the gating rule is written once.
 FLOOR_MIN_HARDWARE_THREADS = 8
@@ -128,104 +128,12 @@ def enforce_hardware_gated_floor(value, floor, hardware, where, what,
     """Fail when `value` is below `floor` — but only when the host can be
     held to it: smoke runs and hosts with fewer than
     FLOOR_MIN_HARDWARE_THREADS hardware threads are exempt. Shared by the
-    planner parallel_scaling, net throughput, and fleet engine checkers."""
+    net throughput and fleet engine checkers."""
     if smoke or hardware < FLOOR_MIN_HARDWARE_THREADS:
         return
     if value < floor:
         fail(f"{where}: {what} {value:g}{unit} below the {floor:g}{unit} "
              f"floor (hardware_threads={hardware})")
-
-
-SCALING_POINT_FIELDS = {
-    "threads": int,
-    "dp_probe_seconds": (int, float),
-    "speedup": (int, float),
-    "feasible": bool,
-    "period": (int, float),
-    "allocation": str,
-    "dp_states": int,
-}
-
-# ISSUE acceptance floor: the wavefront DP probe must be at least this much
-# faster at 8 threads than at 1 — enforceable only on hosts that actually
-# have 8 hardware threads (the document records hardware_threads for this).
-SCALING_MIN_SPEEDUP_8T = 2.5
-# Noise margin for the monotonicity check: adding threads may never cost
-# more than this fraction of the previous point's speedup.
-SCALING_MONOTONE_SLACK = 0.10
-
-
-def check_parallel_scaling(doc, path):
-    """Validate the wavefront-DP scaling table (DESIGN.md §11).
-
-    Bit-identity of the period/allocation/state count across thread counts
-    is unconditional — the shard decomposition defines the result, not the
-    host. Speedup expectations bind only up to the recorded
-    hardware_threads: a 1-core CI runner cannot demonstrate scaling, but it
-    also must not fail for that.
-    """
-    scaling = doc.get("parallel_scaling")
-    if scaling is None:
-        return  # documents from before the wavefront engine (the seed)
-    if not isinstance(scaling, dict):
-        fail(f"{path}: parallel_scaling must be an object")
-    hardware = scaling.get("hardware_threads")
-    if not isinstance(hardware, int) or isinstance(hardware, bool) \
-            or hardware < 1:
-        fail(f"{path}: parallel_scaling.hardware_threads must be an int >= 1")
-    workloads = scaling.get("workloads")
-    if not isinstance(workloads, list) or not workloads:
-        fail(f"{path}: parallel_scaling.workloads must be a non-empty array")
-    for record in workloads:
-        name = record.get("name", "?")
-        where = f"{path}: parallel_scaling {name!r}"
-        if not isinstance(record.get("name"), str):
-            fail(f"{where}: missing name")
-        points = record.get("points")
-        if not isinstance(points, list) or not points:
-            fail(f"{where}: points must be a non-empty array")
-        base = points[0]
-        previous_threads = 0
-        previous_speedup = None
-        for point in points:
-            check_fields(point, SCALING_POINT_FIELDS, where)
-            threads = point["threads"]
-            if threads <= previous_threads:
-                fail(f"{where}: thread counts must be strictly increasing")
-            previous_threads = threads
-            if point["dp_probe_seconds"] <= 0:
-                fail(f"{where}: t{threads} has non-positive dp_probe_seconds")
-            # The shard decomposition, not the pool, defines the result:
-            # every point must be bit-identical to the 1-thread point.
-            if point["feasible"] != base["feasible"]:
-                fail(f"{where}: t{threads} feasibility differs from t1")
-            if point["period"] != base["period"]:
-                fail(f"{where}: t{threads} period {point['period']!r} != t1 "
-                     f"{base['period']!r} (must be bit-identical)")
-            if point["allocation"] != base["allocation"]:
-                fail(f"{where}: t{threads} allocation differs from t1")
-            if point["dp_states"] != base["dp_states"]:
-                fail(f"{where}: t{threads} dp_states differs from t1")
-            # Speedup rules, gated on the host's real parallelism.
-            if threads == 1 and point["speedup"] != 1.0:
-                fail(f"{where}: the 1-thread speedup must be exactly 1.0")
-            if threads <= hardware:
-                if previous_speedup is not None and \
-                        point["speedup"] < previous_speedup * \
-                        (1.0 - SCALING_MONOTONE_SLACK):
-                    fail(f"{where}: speedup degrades at t{threads} "
-                         f"({point['speedup']:.2f} after "
-                         f"{previous_speedup:.2f})")
-                previous_speedup = point["speedup"]
-                if threads >= FLOOR_MIN_HARDWARE_THREADS:
-                    enforce_hardware_gated_floor(
-                        point["speedup"], SCALING_MIN_SPEEDUP_8T, hardware,
-                        where, f"t{threads} speedup", unit="x")
-    names = [record["name"] for record in workloads]
-    if len(set(names)) != len(names):
-        fail(f"{path}: duplicate parallel_scaling workload names")
-    print(f"check_bench_schema: parallel_scaling OK ({len(workloads)} "
-          f"workloads, hardware_threads={hardware})")
 
 
 LLM_SCALE_FIELDS = {
@@ -342,7 +250,6 @@ def check_planner_document(doc, path):
     names = [record["name"] for record in workloads]
     if len(set(names)) != len(names):
         fail(f"{path}: duplicate workload names")
-    check_parallel_scaling(doc, path)
     check_llm_scale(doc, path)
     return {record["name"]: record for record in workloads}
 
@@ -477,8 +384,7 @@ def check_serve_reference(current, reference):
 # ISSUE acceptance floor: pipelined hit traffic over loopback TCP must
 # sustain at least this many requests/second — enforceable only on hosts
 # with real parallelism (the event loop, dispatch pool, and client all
-# share the machine), so it is gated on recorded hardware_threads like
-# SCALING_MIN_SPEEDUP_8T.
+# share the machine), so it is gated on the recorded hardware_threads.
 NET_MIN_HIT_RPS_8T = 100_000.0
 # A cache hit over loopback is a lookup plus two socket hops, never a
 # planning run: p99 past this bound means the wire path is broken.

@@ -37,14 +37,11 @@
 //       period, and print the branch-and-bound solver counters (nodes,
 //       pivots, warm starts, wall time).
 //
-//   madpipe planner <profile-file> [--speculation W] [--threads N]
-//                   [plan options]
+//   madpipe planner <profile-file> [--speculation W] [plan options]
 //       Run the full MadPipe planner and print the hot-path counters: DP
 //       states and memo/transition-cache behaviour, bisection probes
 //       (speculative ones per phase, phase-2 probes cut short by the B&B
-//       node budget), and per-phase wall time. --threads > 1
-//       runs the DP probes on the parallel wavefront engine (bit-identical
-//       plans at every shard count; DESIGN.md §11).
+//       node budget), and per-phase wall time.
 //
 //   madpipe explain <profile-file> [--periods N] [--batches N]
 //                   [--json FILE] [--timeline-out FILE] [plan options]
@@ -180,7 +177,6 @@ struct Args {
   std::string format = "text";  ///< profile output: v1 "text" or v2 "json"
   double slack = 1.05;
   int speculation = 0;
-  int threads = 1;  ///< DP wavefront shards (>1 engages the parallel engine)
   int periods = 6;  ///< steady periods the explain timeline unrolls
   std::string output;
   std::string json_path;
@@ -235,8 +231,7 @@ struct Args {
                "  hybrid <profile> [--gpus N] [--memory-gb X] "
                "[--bandwidth-gbs X]\n"
                "  solver <profile> [--slack X] [plan options]\n"
-               "  planner <profile> [--speculation W] [--threads N] "
-               "[plan options]\n"
+               "  planner <profile> [--speculation W] [plan options]\n"
                "  explain <profile> [--periods N] [--batches N] [--json FILE]"
                "\n"
                "          [--timeline-out FILE] [plan options]\n"
@@ -302,8 +297,6 @@ Args parse(int argc, char** argv) {
       args.periods = std::atoi(next_value().c_str());
     } else if (arg == "--speculation") {
       args.speculation = std::atoi(next_value().c_str());
-    } else if (arg == "--threads") {
-      args.threads = std::atoi(next_value().c_str());
     } else if (arg == "--requests") {
       args.requests_path = next_value();
     } else if (arg == "--workers") {
@@ -603,7 +596,6 @@ std::optional<Plan> run_planner(const Args& args, const Chain& chain,
   if (args.planner == "madpipe" || args.planner == "madpipe-contig") {
     MadPipeOptions options;
     options.phase1.dp.grid = Discretization::paper();
-    options.phase1.dp.threads = args.threads;
     options.disable_special_processor = args.planner == "madpipe-contig";
     return plan_madpipe(chain, platform, options);
   }
@@ -733,7 +725,6 @@ int cmd_planner(const Args& args) {
 
   MadPipeOptions options;
   options.phase1.dp.grid = Discretization::paper();
-  options.phase1.dp.threads = args.threads;
   options.phase1.speculation = args.speculation;
   options.phase2.speculation = args.speculation;
   const std::optional<Plan> plan = plan_madpipe(chain, platform, options);
@@ -760,7 +751,6 @@ int cmd_planner(const Args& args) {
   std::printf("  memo load factor   %.3f max (%lld rehashes, %lld avoided)\n",
               stats.memo_max_load_factor, stats.memo_rehashes,
               stats.memo_rehashes_avoided);
-  std::printf("  dp threads         %d\n", std::max(args.threads, 1));
   std::printf("  transition panels  %lld lookups, %lld hits (%.1f%%)\n",
               stats.transition_lookups, stats.transition_hits,
               stats.transition_lookups > 0
