@@ -1,7 +1,7 @@
 // Ablations of MadPipe's design choices (DESIGN.md experiment index):
 //   1. special processor on/off (non-contiguous vs memory-aware contiguous);
 //   2. discretization granularity of the DP grids;
-//   3. phase-2 engine: branch-and-bound vs the in-house ILP;
+//   3. phase-1 lower bound vs the period phase 2 (branch-and-bound) reaches;
 //   4. the ⊕-delay communication-term variant (paper-literal vs
 //      boundary-consistent, see DESIGN.md "known paper typo");
 //   5. eager 1F1B execution vs 1F1B* memory floors (Proposition 1 in vivo);
@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "cyclic/ilp_scheduler.hpp"
 #include "cyclic/period_search.hpp"
 #include "madpipe/search.hpp"
 #include "pipedream/pipedream.hpp"
@@ -51,10 +50,10 @@ void ablate_special_and_grids() {
   std::printf("%s\n", table.to_string().c_str());
 }
 
-void ablate_phase2_engine() {
-  std::printf("-- Ablation 3: phase-2 scheduler engines on non-contiguous "
-              "allocations (ResNet-50) --\n");
-  fmt::Table table({"P", "M(GB)", "phase1(ms)", "bb(ms)", "ilp(ms)"});
+void ablate_phase2_gap() {
+  std::printf("-- Ablation 3: phase-1 lower bound vs B&B period on "
+              "non-contiguous allocations (ResNet-50) --\n");
+  fmt::Table table({"P", "M(GB)", "phase1(ms)", "bb(ms)"});
   for (const int processors : {2, 4}) {
     for (const double memory : {4.0, 8.0}) {
       const Chain& chain = evaluation_chain("resnet50");
@@ -64,25 +63,14 @@ void ablate_phase2_engine() {
       const Phase1Result phase1 = madpipe_phase1(chain, platform, options);
       if (!phase1.feasible() || phase1.allocation->contiguous()) {
         table.add_row({std::to_string(processors), fmt::fixed(memory, 0),
-                       phase1.feasible() ? "contiguous" : "inf", "-", "-"});
+                       phase1.feasible() ? "contiguous" : "inf", "-"});
         continue;
       }
       const PeriodSearchResult bb =
           find_min_period(*phase1.allocation, chain, platform, phase1.period);
-      // The ILP engine probes the same period the B&B settled on.
-      std::string ilp_cell = "-";
-      if (bb.feasible) {
-        const CyclicProblem problem =
-            build_cyclic_problem(*phase1.allocation, chain, platform);
-        const ILPScheduleResult ilp = ilp_schedule(
-            problem, *phase1.allocation, chain, platform, bb.period * 1.001);
-        ilp_cell = ilp.feasible ? fmt::fixed(bb.period * 1.001 * 1e3, 1)
-                                : "worst-case-mem blocks";
-      }
       table.add_row({std::to_string(processors), fmt::fixed(memory, 0),
                      fmt::fixed(phase1.period * 1e3, 1),
-                     bb.feasible ? fmt::fixed(bb.period * 1e3, 1) : "inf",
-                     ilp_cell});
+                     bb.feasible ? fmt::fixed(bb.period * 1e3, 1) : "inf"});
     }
   }
   std::printf("%s\n", table.to_string().c_str());
@@ -169,7 +157,7 @@ void ablate_best_of() {
 int main() {
   std::printf("=== MadPipe design-choice ablations ===\n\n");
   ablate_special_and_grids();
-  ablate_phase2_engine();
+  ablate_phase2_gap();
   ablate_delay_variant();
   ablate_eager_memory();
   ablate_best_of();

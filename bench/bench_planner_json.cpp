@@ -1,10 +1,9 @@
 // Machine-readable planner benchmark: times the MadPipe planner hot path on
 // fixed paper-scale workloads (end-to-end plan_madpipe, phase 1 alone, and a
 // single MadPipe-DP probe) and writes the numbers to BENCH_planner.json so
-// the planner's perf trajectory can be tracked across PRs — the planner-side
-// sibling of bench_solver/BENCH_solver.json. Besides timings the records
-// carry the achieved periods and an allocation fingerprint, so seed/fast-path
-// equivalence can be checked by diffing two JSON files.
+// the planner's perf trajectory can be tracked across PRs. Besides timings
+// the records carry the achieved periods and an allocation fingerprint, so
+// seed/fast-path equivalence can be checked by diffing two JSON files.
 //
 //   bench_planner [-o FILE] [--smoke] [--baseline FILE] [--min-seconds X]
 //                 [--best-of N] [--trace-out FILE] [--metrics-out FILE]

@@ -1,21 +1,17 @@
 // Planner runtime microbenchmarks (google-benchmark): the cost of
 // MadPipe-DP as a function of chain length, processor count and grid
-// granularity, plus the supporting machinery (1F1B*, the cyclic scheduler
-// and the simplex). The paper reports "several seconds … up to 15 minutes"
+// granularity, plus the supporting machinery (1F1B* and the cyclic
+// scheduler). The paper reports "several seconds … up to 15 minutes"
 // at its discretization on its (longer) profiled chains; these measurements
 // document where our implementation stands.
 #include <benchmark/benchmark.h>
 
 #include "common.hpp"
-#include "cyclic/ilp_scheduler.hpp"
 #include "cyclic/period_search.hpp"
-#include "cyclic/stage_graph.hpp"
 #include "madpipe/search.hpp"
 #include "models/zoo.hpp"
 #include "pipedream/pipedream.hpp"
 #include "schedule/one_f_one_b.hpp"
-#include "solver/lp.hpp"
-#include "solver/milp.hpp"
 
 namespace {
 
@@ -190,103 +186,6 @@ void BM_CyclicScheduler(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CyclicScheduler)->Unit(benchmark::kMillisecond);
-
-void BM_SimplexDense(benchmark::State& state) {
-  // Random-but-fixed LP of the given size.
-  const int n = static_cast<int>(state.range(0));
-  solver::Model model;
-  model.set_sense(solver::Sense::Maximize);
-  unsigned value = 12345;
-  const auto next = [&value] {
-    value = value * 1103515245u + 12345u;
-    return static_cast<double>((value >> 16) & 0x7fff) / 32768.0;
-  };
-  for (int i = 0; i < n; ++i) {
-    model.add_variable("x" + std::to_string(i), 0.0, 10.0, next());
-  }
-  for (int r = 0; r < n; ++r) {
-    solver::LinearExpr expr;
-    for (int i = 0; i < n; ++i) expr.add(i, next());
-    model.add_constraint(std::move(expr), solver::Relation::LessEqual,
-                         1.0 + 5.0 * next());
-  }
-  long long pivots = 0;
-  for (auto _ : state) {
-    const solver::LPResult lp = solver::solve_lp(model);
-    pivots += lp.stats.pivots;
-    benchmark::DoNotOptimize(lp);
-  }
-  state.counters["pivots/s"] =
-      benchmark::Counter(static_cast<double>(pivots), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimplexDense)->Arg(10)->Arg(30)->Arg(60)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_MILPKnapsack(benchmark::State& state) {
-  // Branchy 0/1 knapsack at ~45% capacity: the B&B tree, not any single
-  // relaxation, dominates. Same generator as bench_solver's workload.
-  const int items = static_cast<int>(state.range(0));
-  solver::Model model;
-  model.set_sense(solver::Sense::Maximize);
-  unsigned value = 12345;
-  const auto next = [&value] {
-    value = value * 1103515245u + 12345u;
-    return static_cast<double>((value >> 16) & 0x7fff) / 32768.0;
-  };
-  solver::LinearExpr total;
-  double capacity = 0.0;
-  for (int i = 0; i < items; ++i) {
-    const double weight = 1.0 + 9.0 * next();
-    const double worth = 1.0 + 9.0 * next();
-    const int x = model.add_variable("x" + std::to_string(i), 0.0, 1.0, worth,
-                                     solver::VarType::Integer);
-    total.add(x, weight);
-    capacity += weight;
-  }
-  model.add_constraint(std::move(total), solver::Relation::LessEqual,
-                       0.45 * capacity);
-  long long nodes = 0;
-  long long pivots = 0;
-  for (auto _ : state) {
-    const solver::MILPResult milp = solver::solve_milp(model);
-    nodes += milp.stats.nodes_explored;
-    pivots += milp.stats.pivots;
-    benchmark::DoNotOptimize(milp);
-  }
-  state.counters["nodes/s"] =
-      benchmark::Counter(static_cast<double>(nodes), benchmark::Counter::kIsRate);
-  state.counters["pivots/s"] =
-      benchmark::Counter(static_cast<double>(pivots), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_MILPKnapsack)->Arg(16)->Arg(20)->Unit(benchmark::kMicrosecond);
-
-void BM_ILPSchedulerProbe(benchmark::State& state) {
-  // End-to-end solve_milp wall clock on the real phase-2 MILP: one
-  // ilp_schedule probe at 1.05× the phase-1 period lower bound (the same
-  // workload bench_solver records in BENCH_solver.json).
-  const Chain& chain = bench::evaluation_chain("resnet50");
-  const Platform platform{4, 8 * GB, 12 * GB};
-  Phase1Options options;
-  options.dp.grid = Discretization::paper();
-  const Phase1Result phase1 = madpipe_phase1(chain, platform, options);
-  if (!phase1.feasible()) {
-    state.SkipWithError("phase 1 infeasible");
-    return;
-  }
-  const CyclicProblem problem =
-      build_cyclic_problem(*phase1.allocation, chain, platform);
-  const Seconds period = phase1.period * 1.05;
-  long long nodes = 0;
-  for (auto _ : state) {
-    const ILPScheduleResult probe = ilp_schedule(problem, *phase1.allocation,
-                                                 chain, platform, period);
-    nodes += probe.stats.nodes_explored;
-    benchmark::DoNotOptimize(probe);
-  }
-  state.counters["nodes/s"] =
-      benchmark::Counter(static_cast<double>(nodes), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ILPSchedulerProbe)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

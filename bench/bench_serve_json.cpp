@@ -2,8 +2,7 @@
 // paper-scale workload — cold planning cost, cache-hit latency (p50/p99 and
 // the speedup over a cold plan), request coalescing, and multi-client hit
 // throughput — and writes BENCH_serve.json so the serving path's perf
-// trajectory can be tracked across PRs, next to BENCH_planner.json and
-// BENCH_solver.json.
+// trajectory can be tracked across PRs, next to BENCH_planner.json.
 //
 // Besides timings the document carries *equivalence* records: the planner
 // result served through the cache (cold, cached, and under an exact

@@ -364,7 +364,7 @@ BBResult bb_schedule(const CyclicProblem& problem, const Allocation& allocation,
                      Seconds period, const BBOptions& options) {
   MP_EXPECT(period > 0.0, "period must be positive");
   // Categorized "solver": this branch-and-bound is the phase-2 scheduling
-  // solver (the paper's ILP stand-in), the sibling of solver::solve_milp.
+  // solver (the paper's ILP stand-in).
   obs::Span span("bb_probe", obs::kCatSolver);
   Search search(problem, allocation, chain, platform, period, options);
   BBResult result = search.run();

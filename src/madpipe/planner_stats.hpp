@@ -1,8 +1,7 @@
 // Perf counters threaded through the planner hot path — MadPipe-DP's memo
 // and transition panels, Algorithm 1's bisection and the cyclic period
 // search — so planner throughput is observable end to end: in unit tests, in
-// the bench harness (BENCH_planner.json) and in `madpipe planner`. The
-// planner-side sibling of solver::SolverStats.
+// the bench harness (BENCH_planner.json) and in `madpipe planner`.
 #pragma once
 
 namespace madpipe::json {

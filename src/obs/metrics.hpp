@@ -1,16 +1,14 @@
 // Process-wide metrics registry: named monotonic counters, point-in-time
-// gauges and fixed-bucket latency histograms, shared by the solver, the
-// planner and the serve subsystem.
+// gauges and fixed-bucket latency histograms, shared by the planner and the
+// serve subsystem.
 //
-// The legacy per-run counter structs (solver::SolverStats, PlannerStats,
-// serve::ServeStats) stay the per-result API — their fields are unchanged
-// and every existing test keeps working. This registry is the *cumulative*
-// process view: each subsystem publishes its per-run deltas into it
-// (SolverStats::publish at the end of solve_milp, PlannerStats::publish at
+// The legacy per-run counter structs (PlannerStats, serve::ServeStats) stay
+// the per-result API — their fields are unchanged and every existing test
+// keeps working. This registry is the *cumulative* process view: each
+// subsystem publishes its per-run deltas into it (PlannerStats::publish at
 // the end of plan_madpipe, PlanService as requests complete), so
 // `madpipe stats`, --metrics-out files and the Prometheus-style text dump
-// see one coherent namespace (madpipe_solver_*, madpipe_planner_*,
-// madpipe_serve_*).
+// see one coherent namespace (madpipe_planner_*, madpipe_serve_*).
 //
 // Thread-safety: Counter/Gauge/Histogram updates are relaxed atomics
 // (lock-free, safe from any thread). Entity creation and the text/JSON

@@ -41,8 +41,8 @@ namespace madpipe::obs {
 /// spans from all of them.
 inline constexpr const char* kCatServe = "serve";
 inline constexpr const char* kCatPlanner = "planner";
-/// Phase-2 scheduling solvers: the dense LP/MILP engines in src/solver/ and
-/// the cyclic branch-and-bound scheduler (the paper's ILP stand-in).
+/// The phase-2 scheduling solver: the cyclic branch-and-bound scheduler (the
+/// paper's ILP stand-in).
 inline constexpr const char* kCatSolver = "solver";
 /// Discrete-event execution of a pattern (sim/event_sim.cpp).
 inline constexpr const char* kCatSim = "sim";

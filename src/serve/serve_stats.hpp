@@ -1,6 +1,6 @@
-// Counters for the plan-serving subsystem, in the style of SolverStats and
-// PlannerStats: one plain snapshot struct (ServeStats) that tests, the
-// `madpipe serve` CLI and bench_serve can print or dump as JSON, plus a
+// Counters for the plan-serving subsystem, in the style of PlannerStats: one
+// plain snapshot struct (ServeStats) that tests, the `madpipe serve` CLI and
+// bench_serve can print or dump as JSON, plus a
 // small latency recorder the service uses to produce p50/p99 under
 // concurrent request traffic.
 #pragma once

@@ -2,8 +2,7 @@
 // semantics, Chrome trace-event export (round-tripped through our own JSON
 // parser), cross-thread attribution, concurrent drain (the seqlock path —
 // these run under TSan in CI), and the registry's parity with the legacy
-// SolverStats / PlannerStats / ServeStats structs on real solver, planner
-// and serve runs.
+// PlannerStats / ServeStats structs on real planner and serve runs.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -17,8 +16,6 @@
 #include "obs/trace.hpp"
 #include "serve/request.hpp"
 #include "serve/service.hpp"
-#include "solver/milp.hpp"
-#include "solver/model.hpp"
 #include "util/json.hpp"
 
 namespace madpipe {
@@ -237,37 +234,6 @@ TEST(ObsMetrics, RegistryJsonDumpRoundTrips) {
   const std::string text = registry.text();
   EXPECT_NE(text.find("# TYPE obs_test_counter counter"), std::string::npos);
   EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
-}
-
-// After reset_for_tests(), one solve_milp must publish exactly its
-// SolverStats into the cumulative madpipe_solver_* counters.
-TEST(ObsRegistryParity, SolverStatsMatchRegistryAfterOneMilp) {
-  obs::Registry& registry = obs::Registry::global();
-  registry.reset_for_tests();
-
-  solver::Model model;
-  model.set_sense(solver::Sense::Maximize);
-  solver::LinearExpr total;
-  for (int i = 0; i < 6; ++i) {
-    const int x = model.add_variable("x" + std::to_string(i), 0.0, 1.0,
-                                     1.0 + i, solver::VarType::Integer);
-    total.add(x, 2.0 + i);
-  }
-  model.add_constraint(std::move(total), solver::Relation::LessEqual, 9.0);
-  const solver::MILPResult result = solver::solve_milp(model);
-  ASSERT_EQ(result.status, solver::MILPStatus::Optimal);
-
-  EXPECT_EQ(registry.counter("madpipe_solver_pivots_total").value(),
-            result.stats.pivots);
-  EXPECT_EQ(registry.counter("madpipe_solver_lp_solves_total").value(),
-            result.stats.lp_solves);
-  EXPECT_EQ(registry.counter("madpipe_solver_bb_nodes_total").value(),
-            result.stats.nodes_explored);
-  EXPECT_EQ(registry.counter("madpipe_solver_warm_start_hits_total").value(),
-            result.stats.warm_start_hits);
-  EXPECT_EQ(
-      registry.counter("madpipe_solver_heuristic_incumbents_total").value(),
-      result.stats.heuristic_incumbents);
 }
 
 // One plan_madpipe run publishes exactly its PlannerStats.

@@ -17,10 +17,6 @@ Supported schemas:
     rejected = frames, shed under an over-budget burst), and the hit
     throughput floor enforced on hosts with >= 8 hardware threads (the
     document records hardware_threads).
-  * madpipe-bench-solver-v1 (bench_solver): structural checks on the LP /
-    MILP workload records; --reference pins each workload's solver status
-    (optimal/feasible) — timings and node counts are machine-dependent,
-    the verdicts are not.
   * madpipe-bench-fleet-v1 (bench_fleet): the fleet-simulator document —
     exact jobs-in == jobs-out accounting per policy, utilization and
     queueing percentiles sane, the affinity policy's cache hit-rate
@@ -48,7 +44,6 @@ PLANNER_SCHEMA = "madpipe-bench-planner-v1"
 FLEET_SCHEMA = "madpipe-bench-fleet-v1"
 SERVE_SCHEMA = "madpipe-bench-serve-v1"
 NET_SCHEMA = "madpipe-bench-net-v1"
-SOLVER_SCHEMA = "madpipe-bench-solver-v1"
 EXPLAIN_SCHEMA = "madpipe-explain-v1"
 
 # ISSUE acceptance floor: a cache hit must be at least this much faster than
@@ -586,60 +581,6 @@ def check_net_reference(current, reference):
           "the reference")
 
 
-SOLVER_WORKLOAD_FIELDS = {
-    "name": str,
-    "repeats": int,
-    "wall_seconds": (int, float),
-    "per_solve_seconds": (int, float),
-    "nodes": int,
-    "nodes_per_sec": (int, float),
-    "pivots": int,
-    "pivots_per_sec": (int, float),
-    "warm_start_hits": int,
-    "status": str,
-}
-
-SOLVER_STATUSES = {"optimal", "feasible", "infeasible", "unbounded", "limit",
-                   "phase1-infeasible", "?"}
-
-
-def check_solver_document(doc, path):
-    if doc.get("schema") != SOLVER_SCHEMA:
-        fail(f"{path}: schema is {doc.get('schema')!r}, "
-             f"expected {SOLVER_SCHEMA!r}")
-    if not isinstance(doc.get("solver_stats_instrumented"), bool):
-        fail(f"{path}: solver_stats_instrumented must be a bool")
-    workloads = doc.get("workloads")
-    if not isinstance(workloads, list) or not workloads:
-        fail(f"{path}: workloads must be a non-empty array")
-    for record in workloads:
-        where = f"{path}: workload {record.get('name', '?')!r}"
-        check_fields(record, SOLVER_WORKLOAD_FIELDS, where)
-        if record["repeats"] < 1:
-            fail(f"{where}: repeats must be >= 1")
-        if record["per_solve_seconds"] < 0 or record["wall_seconds"] < 0:
-            fail(f"{where}: negative timing")
-        if record["status"] not in SOLVER_STATUSES:
-            fail(f"{where}: unknown status {record['status']!r}")
-    names = [record["name"] for record in workloads]
-    if len(set(names)) != len(names):
-        fail(f"{path}: duplicate workload names")
-    return {record["name"]: record for record in workloads}
-
-
-def check_solver_reference(current, reference):
-    shared = sorted(set(current) & set(reference))
-    if not shared:
-        fail("no workloads shared with the reference file")
-    for name in shared:
-        cur, ref = current[name], reference[name]
-        if cur["status"] != ref["status"]:
-            fail(f"{name}: status {cur['status']!r} != reference "
-                 f"{ref['status']!r}")
-    print(f"check_bench_schema: {len(shared)} workloads match the reference "
-          "(solver statuses identical)")
-
-
 EXPLAIN_STAGE_FIELDS = {
     "stage": int,
     "first_layer": int,
@@ -976,7 +917,6 @@ CHECKERS = {
     PLANNER_SCHEMA: (check_planner_document, check_planner_reference),
     SERVE_SCHEMA: (check_serve_document, check_serve_reference),
     NET_SCHEMA: (check_net_document, check_net_reference),
-    SOLVER_SCHEMA: (check_solver_document, check_solver_reference),
     EXPLAIN_SCHEMA: (check_explain_document, check_explain_reference),
     FLEET_SCHEMA: (check_fleet_document, check_fleet_reference),
 }

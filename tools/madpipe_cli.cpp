@@ -32,11 +32,6 @@
 //                [--bandwidth-gbs X]
 //       Hybrid data+model-parallel planning (stage replication).
 //
-//   madpipe solver <profile-file> [--slack X] [plan options]
-//       Run phase 1, then one ILP-scheduler probe at slack × the phase-1
-//       period, and print the branch-and-bound solver counters (nodes,
-//       pivots, warm starts, wall time).
-//
 //   madpipe planner <profile-file> [--speculation W] [plan options]
 //       Run the full MadPipe planner and print the hot-path counters: DP
 //       states and memo/transition-cache behaviour, bisection probes
@@ -101,8 +96,7 @@
 //       Without FILE, dump this process's own registry (mostly useful from
 //       tests; a fresh CLI process has only empty metrics).
 //
-//   madpipe solver|planner|explain|serve [--trace-out FILE]
-//                                        [--metrics-out FILE]
+//   madpipe planner|explain|serve [--trace-out FILE] [--metrics-out FILE]
 //       Observability sinks, available on the planning-pipeline
 //       commands: --trace-out records obs::Span events and writes a Chrome
 //       trace-event document on exit (open in chrome://tracing or
@@ -128,11 +122,8 @@
 #include <thread>
 #include <vector>
 
-#include "cyclic/ilp_scheduler.hpp"
-#include "cyclic/stage_graph.hpp"
 #include "hybrid/hybrid.hpp"
 #include "madpipe/planner.hpp"
-#include "madpipe/search.hpp"
 #include "models/profile_io.hpp"
 #include "models/transformer.hpp"
 #include "models/zoo.hpp"
@@ -175,7 +166,6 @@ struct Args {
   int batch = 8;
   int length = -1;  ///< -1 = unset: 24 for image networks, full for LLM presets
   std::string format = "text";  ///< profile output: v1 "text" or v2 "json"
-  double slack = 1.05;
   int speculation = 0;
   int periods = 6;  ///< steady periods the explain timeline unrolls
   std::string output;
@@ -219,7 +209,7 @@ struct Args {
   if (message != nullptr) std::fprintf(stderr, "error: %s\n\n", message);
   std::fprintf(stderr,
                "usage: madpipe "
-               "<profile|validate|plan|simulate|hybrid|solver|planner|explain|serve|fleet|stats> "
+               "<profile|validate|plan|simulate|hybrid|planner|explain|serve|fleet|stats> "
                "...\n"
                "  profile <network> [-o FILE] [--image N] [--batch N] "
                "[--length N] [--format text|json]\n"
@@ -230,7 +220,6 @@ struct Args {
                "  simulate <profile> [--batches N] [plan options]\n"
                "  hybrid <profile> [--gpus N] [--memory-gb X] "
                "[--bandwidth-gbs X]\n"
-               "  solver <profile> [--slack X] [plan options]\n"
                "  planner <profile> [--speculation W] [plan options]\n"
                "  explain <profile> [--periods N] [--batches N] [--json FILE]"
                "\n"
@@ -255,7 +244,7 @@ struct Args {
                "Prometheus text\n"
                "                             (histograms as p50/p95/p99; "
                "--buckets for raw)\n"
-               "  solver|planner|explain|serve|fleet also accept "
+               "  planner|explain|serve|fleet also accept "
                "[--trace-out FILE] [--metrics-out FILE]\n"
                "  --version\n");
   std::exit(2);
@@ -291,8 +280,6 @@ Args parse(int argc, char** argv) {
       args.length = std::atoi(next_value().c_str());
     } else if (arg == "--format") {
       args.format = next_value();
-    } else if (arg == "--slack") {
-      args.slack = std::atof(next_value().c_str());
     } else if (arg == "--periods") {
       args.periods = std::atoi(next_value().c_str());
     } else if (arg == "--speculation") {
@@ -379,7 +366,7 @@ void write_file(const std::string& path, const std::string& content) {
   out << content;
 }
 
-/// Observability sinks for the solver/planner/serve commands: arms span
+/// Observability sinks for the planner/explain/serve/fleet commands: arms span
 /// tracing when --trace-out was given, and on destruction writes the Chrome
 /// trace and/or the metrics-registry JSON dump.
 class ObsSinks {
@@ -669,49 +656,6 @@ int cmd_plan(const Args& args, bool simulate) {
                   fmt::bytes(sim.processor_memory_peak[p]).c_str());
     }
   }
-  return 0;
-}
-
-int cmd_solver(const Args& args) {
-  if (args.positional.empty()) usage("solver needs a profile file");
-  const ObsSinks sinks(args);
-  const Chain chain = models::load_profile(args.positional[0]);
-  const Platform platform{args.gpus, args.memory_gb * GB,
-                          args.bandwidth_gbs * GB};
-  platform.validate();
-
-  Phase1Options options;
-  options.dp.grid = Discretization::paper();
-  const Phase1Result phase1 = madpipe_phase1(chain, platform, options);
-  if (!phase1.feasible()) {
-    std::printf("phase 1 infeasible: nothing to probe\n");
-    return 1;
-  }
-  const CyclicProblem problem =
-      build_cyclic_problem(*phase1.allocation, chain, platform);
-  const Seconds period = phase1.period * args.slack;
-  const ILPScheduleResult probe =
-      ilp_schedule(problem, *phase1.allocation, chain, platform, period);
-  std::printf("ILP probe at %s (%.2fx phase-1 period): %s\n",
-              fmt::seconds(period).c_str(), args.slack,
-              probe.feasible ? "feasible" : "infeasible");
-  const solver::SolverStats& stats = probe.stats;
-  std::printf("  nodes explored     %lld (%.0f nodes/s)\n",
-              stats.nodes_explored,
-              stats.wall_seconds > 0.0
-                  ? static_cast<double>(stats.nodes_explored) /
-                        stats.wall_seconds
-                  : 0.0);
-  std::printf("  lp solves          %lld\n", stats.lp_solves);
-  std::printf("  simplex pivots     %lld (phase1 %lld, phase2 %lld, dual %lld,"
-              " bland %lld)\n",
-              stats.pivots, stats.phase1_iterations, stats.phase2_iterations,
-              stats.dual_iterations, stats.bland_pivots);
-  std::printf("  warm starts        %lld hit / %lld miss\n",
-              stats.warm_start_hits, stats.warm_start_misses);
-  std::printf("  heuristic seeds    %lld\n", stats.heuristic_incumbents);
-  std::printf("  solver wall        %s\n",
-              fmt::seconds(stats.wall_seconds).c_str());
   return 0;
 }
 
@@ -1316,7 +1260,6 @@ int main(int argc, char** argv) {
     if (command == "plan") return cmd_plan(args, /*simulate=*/false);
     if (command == "simulate") return cmd_plan(args, /*simulate=*/true);
     if (command == "hybrid") return cmd_hybrid(args);
-    if (command == "solver") return cmd_solver(args);
     if (command == "planner") return cmd_planner(args);
     if (command == "explain") return cmd_explain(args);
     if (command == "serve") return cmd_serve(args);
