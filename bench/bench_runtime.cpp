@@ -88,21 +88,16 @@ void BM_MadPipeDPProbe(benchmark::State& state) {
   MadPipeDPOptions options;
   options.grid = Discretization::paper();
   const Seconds target = chain.total_compute() / platform.processors;
-#if defined(MADPIPE_PLANNER_STATS)
   PlannerStats total;
-#endif
   std::size_t states = 0;
   for (auto _ : state) {
     const MadPipeDPResult dp = madpipe_dp(chain, platform, target, options);
     benchmark::DoNotOptimize(dp.period);
     states += dp.states_visited;
-#if defined(MADPIPE_PLANNER_STATS)
     total.absorb(dp.stats);
-#endif
   }
   state.counters["states/s"] = benchmark::Counter(
       static_cast<double>(states), benchmark::Counter::kIsRate);
-#if defined(MADPIPE_PLANNER_STATS)
   if (total.memo_child_lookups > 0) {
     state.counters["memo_hit%"] =
         100.0 * static_cast<double>(total.memo_hits) /
@@ -113,7 +108,6 @@ void BM_MadPipeDPProbe(benchmark::State& state) {
         100.0 * static_cast<double>(total.transition_hits) /
         static_cast<double>(total.transition_lookups);
   }
-#endif
 }
 BENCHMARK(BM_MadPipeDPProbe)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
@@ -124,22 +118,16 @@ void BM_Phase1(benchmark::State& state) {
   const Platform platform{static_cast<int>(state.range(0)), 8 * GB, 12 * GB};
   Phase1Options options;
   options.dp.grid = Discretization::paper();
-#if defined(MADPIPE_PLANNER_STATS)
   PlannerStats total;
-#endif
   for (auto _ : state) {
     const Phase1Result phase1 = madpipe_phase1(chain, platform, options);
     benchmark::DoNotOptimize(phase1.period);
-#if defined(MADPIPE_PLANNER_STATS)
     total.absorb(phase1.stats);
-#endif
   }
-#if defined(MADPIPE_PLANNER_STATS)
   state.counters["states/s"] = benchmark::Counter(
       static_cast<double>(total.dp_states), benchmark::Counter::kIsRate);
   state.counters["dp_probes"] = static_cast<double>(total.dp_probes);
   state.counters["spec_hits"] = static_cast<double>(total.speculative_hits);
-#endif
 }
 BENCHMARK(BM_Phase1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 

@@ -6,15 +6,9 @@
 #include <mutex>
 #include <stdexcept>
 
-#include <chrono>
-#include <fstream>
-
 #include "core/pattern.hpp"
 #include "models/zoo.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "pipedream/pipedream.hpp"
-#include "util/cli.hpp"
 #include "util/format.hpp"
 #include "util/threading.hpp"
 
@@ -103,73 +97,6 @@ std::vector<double> paper_bandwidth_sweep() { return {12.0, 24.0}; }
 std::string period_cell(const PlannerOutcome& outcome, double scale) {
   if (!outcome.feasible) return "inf";
   return fmt::fixed(outcome.period * scale, 1);
-}
-
-bool ObsSinkArgs::parse(int argc, char** argv, int* i) {
-  // Shared `--opt value` / `--opt=value` splitting (util/cli.hpp): exact
-  // flag-name matching — the old hand-rolled prefix check here accepted
-  // mistyped flags like --trace-outX.
-  const cli::OptionArg option = cli::split_option(argv[*i]);
-  if (option.name != "--trace-out" && option.name != "--metrics-out") {
-    return false;
-  }
-  const std::optional<std::string> value =
-      cli::take_value(option, argc, argv, i);
-  if (!value.has_value()) {
-    std::fprintf(stderr, "error: missing value for %s\n", option.name.c_str());
-    std::exit(2);
-  }
-  if (option.name == "--trace-out") {
-    trace_out = *value;
-  } else {
-    metrics_out = *value;
-  }
-  return true;
-}
-
-void ObsSinkArgs::install() const {
-  if (!trace_out.empty()) obs::install_trace();
-}
-
-void ObsSinkArgs::flush() const {
-  const auto write = [](const std::string& path, const std::string& content) {
-    std::ofstream out(path);
-    if (!out.good()) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      std::exit(1);
-    }
-    out << content;
-    std::printf("obs sink -> %s\n", path.c_str());
-  };
-  if (!trace_out.empty()) {
-    obs::uninstall_trace();
-    write(trace_out, obs::trace_to_chrome_json());
-  }
-  if (!metrics_out.empty()) {
-    write(metrics_out, obs::Registry::global().json());
-  }
-}
-
-SpanOverhead measure_span_overhead() {
-  using Clock = std::chrono::steady_clock;
-  constexpr int kSpans = 1'000'000;
-  const auto time_spans = [&] {
-    const Clock::time_point start = Clock::now();
-    for (int i = 0; i < kSpans; ++i) {
-      obs::Span span("overhead_probe", obs::kCatPlanner);
-    }
-    return std::chrono::duration<double, std::nano>(Clock::now() - start)
-               .count() /
-           kSpans;
-  };
-  SpanOverhead overhead;
-  obs::uninstall_trace();
-  overhead.disabled_ns = time_spans();
-  obs::install_trace();
-  overhead.enabled_ns = time_spans();
-  obs::install_trace();  // drop the probe events (install resets buffers)
-  obs::uninstall_trace();
-  return overhead;
 }
 
 }  // namespace madpipe::bench

@@ -67,29 +67,4 @@ std::vector<double> paper_bandwidth_sweep();   ///< {12, 24} GB/s
 /// "1.23" or "inf" for infeasible cells.
 std::string period_cell(const PlannerOutcome& outcome, double scale = 1e3);
 
-/// Observability sinks shared by the bench mains: `--trace-out FILE` arms
-/// obs span tracing (timings then include the enabled-span cost — don't mix
-/// with regression runs), `--metrics-out FILE` dumps the cumulative metrics
-/// registry. parse() consumes the flag at argv[*i] when it matches; flush()
-/// writes whichever sinks were requested.
-struct ObsSinkArgs {
-  std::string trace_out;
-  std::string metrics_out;
-
-  bool parse(int argc, char** argv, int* i);
-  void install() const;
-  void flush() const;
-};
-
-/// Measured per-span cost in nanoseconds. `disabled_ns` is the permanent
-/// price instrumentation adds to a hot path when no sink is installed (one
-/// relaxed atomic load + branch); `enabled_ns` is the full record cost with
-/// a sink armed. Leaves tracing disarmed and the buffers empty — call it
-/// *before* installing real sinks.
-struct SpanOverhead {
-  double disabled_ns = 0.0;
-  double enabled_ns = 0.0;
-};
-SpanOverhead measure_span_overhead();
-
 }  // namespace madpipe::bench

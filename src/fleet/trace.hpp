@@ -19,7 +19,7 @@
 //     for bit-identity checks keep it 0 (fleet_trace_validate warns).
 //
 // Traces come from a JSON file (`madpipe-fleet-trace-v1`, documented in
-// docs/BENCH_SCHEMAS.md) or from synthesize_fleet_trace: a util::Rng
+// docs/SCHEMAS.md) or from synthesize_fleet_trace: a util::Rng
 // (splitmix64) seeded generator, so `--seed S` reproduces the same
 // workload bit for bit on every host.
 #pragma once

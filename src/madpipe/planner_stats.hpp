@@ -1,7 +1,7 @@
 // Perf counters threaded through the planner hot path — MadPipe-DP's memo
 // and transition panels, Algorithm 1's bisection and the cyclic period
 // search — so planner throughput is observable end to end: in unit tests, in
-// the bench harness (BENCH_planner.json) and in `madpipe planner`.
+// perfbench's per-layer metrics and in `madpipe planner`.
 #pragma once
 
 namespace madpipe::json {
@@ -9,11 +9,6 @@ class Writer;
 }
 
 namespace madpipe {
-
-/// Defined when MadPipeDPResult/Phase1Result/Plan carry a PlannerStats
-/// block; lets tools compile against both the instrumented and the
-/// pre-instrumentation API.
-#define MADPIPE_PLANNER_STATS 1
 
 struct PlannerStats {
   // --- MadPipe-DP ---

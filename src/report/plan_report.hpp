@@ -18,7 +18,7 @@
 // re-derives memory with different arithmetic.
 //
 // Serialization: `plan_report_to_json` emits the strict `madpipe-explain-v1`
-// schema (validated by tools/check_bench_schema.py); the `madpipe explain`
+// schema (checked by tests/test_plan_report.cpp); the `madpipe explain`
 // CLI prints `plan_report_to_string`. The serve protocol attaches the
 // lighter ExplainSummary to responses when a request sets options.explain.
 #pragma once

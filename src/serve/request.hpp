@@ -110,7 +110,7 @@ Plan denormalize_plan(Plan plan, double time_unit);
 MadPipeOptions planner_options(const PlanRequest& request);
 
 /// Compact allocation fingerprint "first-last@proc;..." in stage order —
-/// shared by the serve protocol, bench_serve and the golden tests.
+/// shared by the serve protocol and the golden tests.
 std::string allocation_fingerprint(const Allocation& allocation);
 
 /// True when the two plans are the same result bit for bit: planner,

@@ -91,8 +91,8 @@ struct ServiceOptions {
   /// Applied when a request carries no deadline of its own; 0 = none.
   Seconds default_deadline_seconds = 0.0;
   /// Deadline → state-budget conversion rate. The default is conservative
-  /// for paper-scale chains (see BENCH_planner.json: ~1e6 DP states/s on
-  /// the flat engine, unoptimized build).
+  /// for paper-scale chains (perfbench's `madpipe.states_per_s` measures
+  /// the flat engine's actual rate).
   double states_per_second = 1e6;
   /// Floor for the reduced budget: even a hopelessly late request explores
   /// this many states per probe so "degraded" still means "tried".

@@ -1,7 +1,6 @@
-// Shared command-line option tokenization for the madpipe CLI and the
-// benchmark harness: both accept `--opt value` and `--opt=value` for every
-// value-taking flag, with one splitting rule instead of two hand-rolled
-// (and historically divergent) copies.
+// Command-line option tokenization for the madpipe CLI: every value-taking
+// flag accepts both `--opt value` and `--opt=value`, with one splitting
+// rule.
 #pragma once
 
 #include <optional>

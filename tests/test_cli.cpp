@@ -11,6 +11,7 @@
 #include <iterator>
 #include <string>
 
+#include "explain_check.hpp"
 #include "models/profile_io.hpp"
 #include "models/zoo.hpp"
 #include "util/json.hpp"
@@ -126,6 +127,7 @@ TEST(Cli, ExplainWritesReportJsonAndTimeline) {
   const json::Value* memory = report.value.find("memory");
   ASSERT_NE(memory, nullptr);
   EXPECT_EQ(memory->items().size(), 2u);
+  test::expect_valid_explain_v1(report.value);
 
   std::ifstream timeline_in(timeline_path);
   ASSERT_TRUE(timeline_in.good());

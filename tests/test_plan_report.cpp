@@ -10,10 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "explain_check.hpp"
 #include "madpipe/planner.hpp"
 #include "models/zoo.hpp"
 #include "report/timeline_export.hpp"
@@ -21,6 +26,114 @@
 #include "util/json.hpp"
 
 namespace madpipe {
+
+namespace test {
+namespace {
+
+/// `object[key]` as a number; NaN, which fails every comparison, when it is
+/// missing.
+double number(const json::Value& object, const char* key) {
+  const json::Value* value = object.find(key);
+  if (value == nullptr || !value->is_number()) {
+    ADD_FAILURE() << "missing number '" << key << "'";
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  return value->as_number();
+}
+
+const std::vector<json::Value>& array(const json::Value& object,
+                                      const char* key) {
+  static const std::vector<json::Value> kEmpty;
+  const json::Value* value = object.find(key);
+  if (value == nullptr || !value->is_array()) {
+    ADD_FAILURE() << "missing array '" << key << "'";
+    return kEmpty;
+  }
+  return value->items();
+}
+
+}  // namespace
+
+void expect_valid_explain_v1(const json::Value& document) {
+  EXPECT_EQ(document.string_or("schema", ""), report::kExplainSchema);
+  const double period = number(document, "period_seconds");
+  EXPECT_TRUE(period > 0.0 && std::isfinite(period)) << period;
+  const double gpus = number(document, "gpus");
+
+  const std::vector<json::Value>& stages = array(document, "stages");
+  EXPECT_EQ(static_cast<double>(stages.size()),
+            number(document, "num_stages"));
+  for (const json::Value& stage : stages) {
+    EXPECT_GE(number(stage, "max_in_flight"), 1.0);
+    EXPECT_GE(number(stage, "processor"), 0.0);
+    EXPECT_LT(number(stage, "processor"), gpus);
+  }
+
+  // Utilizations are fractions of the period, and the critical resource is
+  // the argmax of the table.
+  const std::vector<json::Value>& resources = array(document, "resources");
+  EXPECT_GE(static_cast<double>(resources.size()), gpus);
+  const std::string critical = document.string_or("critical_resource", "");
+  const double critical_utilization =
+      number(document, "critical_utilization");
+  bool critical_listed = false;
+  for (const json::Value& resource : resources) {
+    const std::string name = resource.string_or("resource", "");
+    const double utilization = number(resource, "utilization");
+    EXPECT_GE(utilization, 0.0) << name;
+    EXPECT_LE(utilization, 1.0) << name;
+    EXPECT_NEAR(utilization + number(resource, "bubble_fraction"), 1.0, 1e-9)
+        << name;
+    EXPECT_LE(utilization, critical_utilization) << name;
+    if (name == critical) {
+      critical_listed = true;
+      EXPECT_EQ(utilization, critical_utilization) << name;
+    }
+  }
+  EXPECT_TRUE(critical_listed) << critical;
+  EXPECT_GE(number(document, "mean_gpu_utilization"), 0.0);
+  EXPECT_LE(number(document, "mean_gpu_utilization"), 1.0);
+
+  const std::vector<json::Value>& memory = array(document, "memory");
+  EXPECT_EQ(static_cast<double>(memory.size()), gpus);
+  for (const json::Value& gpu : memory) {
+    const std::string where =
+        "gpu " + std::to_string(static_cast<int>(gpu.number_or("gpu", -1)));
+    const double peak = number(gpu, "peak_bytes");
+    EXPECT_EQ(number(gpu, "headroom_bytes"),
+              number(gpu, "limit_bytes") - peak)
+        << where;
+    const double terms =
+        number(gpu, "weights_bytes") + number(gpu, "scratch_bytes") +
+        number(gpu, "comm_buffers_bytes") +
+        number(gpu, "activations_peak_bytes");
+    EXPECT_NEAR(terms, peak, 1e-6 * std::max(1.0, std::abs(peak))) << where;
+    const std::string binding = gpu.string_or("binding_term", "");
+    EXPECT_TRUE(binding == "weights" || binding == "activations" ||
+                binding == "comm_buffers")
+        << where << ": " << binding;
+    const std::vector<json::Value>& curve = array(gpu, "curve");
+    EXPECT_FALSE(curve.empty()) << where;
+    double previous = -1.0, highest = 0.0;
+    for (const json::Value& point : curve) {
+      const double time = number(point, "time_seconds");
+      EXPECT_GE(time, 0.0) << where;
+      EXPECT_LT(time, period) << where;
+      EXPECT_GT(time, previous) << where;
+      previous = time;
+      highest = std::max(highest, number(point, "bytes"));
+    }
+    EXPECT_EQ(highest, peak) << where;
+  }
+  // The ASAP execution of a valid pattern never runs slower than the
+  // pattern's own period.
+  if (document.bool_or("simulated", false)) {
+    EXPECT_LE(number(document, "period_delta_fraction"), 1e-6);
+  }
+}
+
+}  // namespace test
+
 namespace {
 
 struct ZooCell {
@@ -142,6 +255,11 @@ TEST_P(PlanReportZoo, PeakBitMatchesVerifierAndBoundsSimulation) {
   EXPECT_EQ(summary.critical_resource, rep.critical_resource.to_string());
   EXPECT_EQ(summary.binding_term,
             rep.memory[summary.binding_gpu].binding_term);
+
+  const json::ParseResult parsed =
+      json::parse(report::plan_report_to_json(rep));
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  test::expect_valid_explain_v1(parsed.value);
 }
 
 std::vector<ZooCell> zoo_matrix() {
@@ -210,6 +328,18 @@ TEST(PlanReportJson, EmitsStrictExplainV1Schema) {
   }
   EXPECT_NE(root.find("critical_resource"), nullptr);
   EXPECT_NE(root.find("mean_gpu_utilization"), nullptr);
+}
+
+// The committed `madpipe explain` example stays a consistent document.
+TEST(PlanReportJson, CommittedExampleIsConsistent) {
+  std::ifstream in(std::string(MADPIPE_SOURCE_DIR) +
+                   "/examples/explain_resnet50_p2.json");
+  ASSERT_TRUE(in.good());
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const json::ParseResult parsed = json::parse(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  test::expect_valid_explain_v1(parsed.value);
 }
 
 // The human rendering mentions every section a user debugs with.

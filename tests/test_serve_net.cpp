@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "serve/service.hpp"
 #include "util/json.hpp"
 #include "util/net.hpp"
+#include "util/stats.hpp"
 
 namespace madpipe::serve::net {
 namespace {
@@ -73,7 +75,7 @@ std::string fast_frame(const std::string& id, double memory_gb = 8.0) {
   return w.str() + "\n";
 }
 
-/// A deliberately slow request (~150 ms of planning): long chain, 4 GPUs,
+/// A request that really plans (tens of milliseconds): long chain, 4 GPUs,
 /// full default grids. `length` varies the fingerprint.
 std::string slow_frame(const std::string& id, int length) {
   json::Writer w;
@@ -324,30 +326,60 @@ TEST(ServeNet, ServiceBacklogShedsByQueueDepth) {
   options.shed_queue_depth = 1;
   ServiceOptions service_options;
   service_options.workers = 1;
+  // Declared before the harness so they outlive the service's drain.
+  std::promise<void> parked;
+  std::promise<void> gate;
   Harness h(options, service_options);
+  // Opens the gate on every exit path, before the service drains.
+  struct GateGuard {
+    std::promise<void>& gate;
+    bool open = false;
+    void release() {
+      if (!open) gate.set_value();
+      open = true;
+    }
+    ~GateGuard() { release(); }
+  } guard{gate};
   Client client(h.server.port());
   ASSERT_TRUE(client.ok());
 
-  // A occupies the single worker (~150 ms), B queues behind it.
-  ASSERT_TRUE(client.send(slow_frame("slow-a", 16)));
-  ASSERT_TRUE(client.send(slow_frame("slow-b", 17)));
+  // A, submitted straight to the service, holds the single planner worker:
+  // its completion callback runs on that worker and parks there until the
+  // gate opens. The backlog below stands however fast the planner is.
+  std::future<void> a_parked = parked.get_future();
+  h.service.submit_async(
+      PlanRequest{"a", make_uniform_chain(6, ms(2), ms(4), MB, 8 * MB, MB),
+                  Platform{2, 8 * GB, 12 * GB}, PlannerKind::MadPipe,
+                  MadPipeOptions{}, 0.0},
+      [&parked, open = gate.get_future().share()](PlanResponse&&) {
+        parked.set_value();
+        open.wait();
+      });
+  ASSERT_EQ(a_parked.wait_for(10s), std::future_status::ready)
+      << "the worker never picked up A";
+
+  // B is admitted (the queue is empty) and queues behind A.
+  ASSERT_TRUE(client.send(fast_frame("queued-b")));
   const auto deadline = std::chrono::steady_clock::now() + 10s;
   while (h.service.queue_depth() < 1 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(1ms);
   }
-  ASSERT_GE(h.service.queue_depth(), 1u) << "backlog never formed";
+  ASSERT_EQ(h.service.queue_depth(), 1u) << "backlog never formed";
 
-  // C arrives while the backlog stands: admission control sheds it.
-  ASSERT_TRUE(client.send(fast_frame("shed-c")));
+  // C arrives while the backlog stands: admission control sheds it. Only
+  // then does A let go of the worker.
+  ASSERT_TRUE(client.send(fast_frame("shed-c", 4.0)));
+  while (h.server.stats().shed_depth < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  guard.release();
 
-  std::string a, b, c;
-  ASSERT_TRUE(client.recv(a));
+  std::string b, c;
   ASSERT_TRUE(client.recv(b));
   ASSERT_TRUE(client.recv(c));
-  EXPECT_EQ(field(a, "id"), "slow-a");
-  EXPECT_EQ(field(a, "status"), "ok");
-  EXPECT_EQ(field(b, "id"), "slow-b");
+  EXPECT_EQ(field(b, "id"), "queued-b");
   EXPECT_EQ(field(b, "status"), "ok");
   // Shed responses carry an empty id: admission control fires before the
   // frame is ever parsed, so position in the in-order stream correlates it.
@@ -374,14 +406,21 @@ TEST(ServeNet, MultiClientHammerServesEveryRequest) {
   constexpr int kPerClient = 50;
   std::vector<std::thread> threads;
   std::vector<int> ok_counts(kClients, 0);
+  std::vector<std::vector<double>> round_trips(kClients);
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
       Client client(port);
       if (!client.ok()) return;
+      const std::string frame = fast_frame("h" + std::to_string(c));
       std::string line;
       for (int i = 0; i < kPerClient; ++i) {
-        if (!client.send(fast_frame("h" + std::to_string(c)))) return;
+        const auto start = std::chrono::steady_clock::now();
+        if (!client.send(frame)) return;
         if (!client.recv(line)) return;
+        round_trips[static_cast<std::size_t>(c)].push_back(
+            std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count());
         if (field(line, "status") == "ok") {
           ++ok_counts[static_cast<std::size_t>(c)];
         }
@@ -389,9 +428,17 @@ TEST(ServeNet, MultiClientHammerServesEveryRequest) {
     });
   }
   for (std::thread& thread : threads) thread.join();
+  std::vector<double> latencies;
   for (int c = 0; c < kClients; ++c) {
     EXPECT_EQ(ok_counts[static_cast<std::size_t>(c)], kPerClient);
+    latencies.insert(latencies.end(),
+                     round_trips[static_cast<std::size_t>(c)].begin(),
+                     round_trips[static_cast<std::size_t>(c)].end());
   }
+  // A closed-loop cache hit is a lookup plus two socket hops, never a
+  // planning run.
+  ASSERT_EQ(latencies.size(), static_cast<std::size_t>(kClients * kPerClient));
+  EXPECT_LE(stats::percentile(latencies, 0.99), 0.1);
   const NetServerStats stats = h.server.stats();
   EXPECT_EQ(stats.frames, 1 + kClients * kPerClient);
   EXPECT_EQ(stats.responses, 1 + kClients * kPerClient);
@@ -611,6 +658,18 @@ TEST(ServeNet, SlowestRequestOfAMixedRunAppearsInSlowWithPhases) {
     const std::string metrics = admin_get(admin.port(), "/metrics");
     EXPECT_NE(metrics.find("madpipe_serve_queue_depth"), std::string::npos);
     EXPECT_NE(metrics.find("madpipe_serve_hit_rate"), std::string::npos);
+    // A scrape is one short HTTP exchange on the admin thread; it never
+    // waits on the data plane.
+    std::vector<double> scrapes;
+    for (int i = 0; i < 50; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      const std::string body = admin_get(admin.port(), "/metrics");
+      scrapes.push_back(std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count());
+      ASSERT_NE(body.find("madpipe_net_connections"), std::string::npos);
+    }
+    EXPECT_LE(stats::percentile(scrapes, 0.50), 0.1);
 
     const json::ParseResult parsed =
         json::parse(admin_get(admin.port(), "/slow"));

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <map>
 #include <mutex>
@@ -13,6 +14,7 @@
 
 #include "madpipe/planner.hpp"
 #include "models/zoo.hpp"
+#include "util/stats.hpp"
 
 namespace madpipe::serve {
 namespace {
@@ -132,6 +134,51 @@ TEST(ServeService, IdenticalConcurrentRequestsCoalesceIntoOneRun) {
   EXPECT_EQ(stats.planner_runs, 1);
   EXPECT_EQ(stats.coalesced, coalesced);
   EXPECT_EQ(stats.coalesced + stats.misses + stats.hits, kClients);
+}
+
+// The paper-scale resnet101 request (24 layers, P=4, M=8 GB, default
+// options) plans long enough for all 16 concurrent submits to land while the
+// first run is in flight, so the coalescing count is exact. A cache hit of
+// it is a lookup: its median latency is at least 100x below a cold plan.
+TEST(ServeService, PaperRequestCoalescesExactlyAndHitsBeatAColdPlan) {
+  using Clock = std::chrono::steady_clock;
+  const PlanRequest request{"r101",
+                            models::paper_network("resnet101"),
+                            Platform{4, 8 * GB, 12 * GB},
+                            PlannerKind::MadPipe,
+                            MadPipeOptions{},
+                            0.0};
+  const Clock::time_point cold_start = Clock::now();
+  ASSERT_TRUE(plan_madpipe(request.chain, request.platform, request.options)
+                  .has_value());
+  const double cold_seconds =
+      std::chrono::duration<double>(Clock::now() - cold_start).count();
+
+  ServiceOptions options;
+  options.workers = 4;
+  PlanService service(options);
+  constexpr int kClients = 16;
+  std::vector<std::future<PlanResponse>> futures;
+  for (int c = 0; c < kClients; ++c) futures.push_back(service.submit(request));
+  for (std::future<PlanResponse>& future : futures) {
+    EXPECT_EQ(future.get().status, ResponseStatus::Ok);
+  }
+  EXPECT_EQ(service.stats().planner_runs, 1);
+  EXPECT_EQ(service.stats().coalesced, kClients - 1);
+
+  constexpr int kHits = 200;
+  std::vector<double> hit_seconds;
+  for (int i = 0; i < kHits; ++i) {
+    const Clock::time_point start = Clock::now();
+    const PlanResponse hit = service.plan(request);
+    hit_seconds.push_back(
+        std::chrono::duration<double>(Clock::now() - start).count());
+    ASSERT_EQ(hit.cache, CacheOutcome::Hit);
+  }
+  const double hit_p50 = stats::percentile(hit_seconds, 0.50);
+  EXPECT_GE(cold_seconds / hit_p50, 100.0)
+      << "cold " << cold_seconds << " s, median hit " << hit_p50 << " s";
+  EXPECT_EQ(service.stats().errors, 0);
 }
 
 // options.explain is cache-key-inert: a request asking for the summary and

@@ -253,8 +253,8 @@ struct Args {
 Args parse(int argc, char** argv) {
   Args args;
   for (int i = 2; i < argc; ++i) {
-    // Accept both `--opt value` and `--opt=value` (shared splitting rule,
-    // util/cli.hpp — the bench harness uses the same one).
+    // Accept both `--opt value` and `--opt=value` (splitting rule in
+    // util/cli.hpp).
     const cli::OptionArg option = cli::split_option(argv[i]);
     const std::string& arg = option.name;
     const auto next_value = [&]() -> std::string {
