@@ -17,8 +17,20 @@ struct CircleInterval {
   Seconds duration;
 };
 
-/// Search state for one resource: placed circle intervals, kept sorted.
-using ResourceState = std::vector<CircleInterval>;
+/// Search state for one resource. The DFS places ops in chain order and
+/// unplaces them last-in first-out, so while n intervals are placed they are
+/// those of the first n ops on the resource, as the current path placed
+/// them. Their free-gap list is cached as gaps[n]: placing the (n+1)-th
+/// interval invalidates gaps[n + 1] (a new state), and unplacing it returns
+/// to the unchanged state whose list gaps[n] still holds.
+struct ResourceState {
+  struct Gaps {
+    std::vector<CircleInterval> list;
+    bool valid = false;
+  };
+  std::vector<CircleInterval> placed;  ///< sorted by position
+  std::vector<Gaps> gaps;              ///< one level per op on it, plus one
+};
 
 class Search {
  public:
@@ -43,7 +55,9 @@ class Search {
               .first->second);
     }
     occupied_.resize(resource_index.size());
-    z_.assign(problem.ops.size(), 0.0);
+    for (ResourceState& state : occupied_) state.gaps.emplace_back();
+    for (const int r : op_resource_) occupied_[r].gaps.emplace_back();
+    slot_.assign(problem.ops.size(), 0);
     candidate_buffers_.resize(problem.ops.size());
 
     const int num_stages = allocation.partitioning().num_stages();
@@ -78,35 +92,48 @@ class Search {
     return static_cast<long long>(std::floor(z / period_ + 1e-9));
   }
 
-  /// Free gaps on a resource circle, as (start, length) with start ∈ [0,T),
-  /// written into `gaps`. `state` is sorted by position; at most the last
-  /// interval wraps past T, and disjointness guarantees the first interval
-  /// starts after its tail.
-  void free_gaps(const ResourceState& state,
-                 std::vector<CircleInterval>& gaps) const {
+  /// std::fmod(x, T), bit for bit: on [0, 2T) fmod's exact result is x or
+  /// x − T, and x − T is exact there (Sterbenz's lemma).
+  Seconds circle_mod(Seconds x) const {
+    if (x >= 0.0 && x < 2.0 * period_) return x < period_ ? x : x - period_;
+    return std::fmod(x, period_);
+  }
+
+  /// Free gaps on a resource circle, as (start, length) with start ∈ [0,T).
+  /// `state.placed` is sorted by position; at most the last interval wraps
+  /// past T, and disjointness guarantees the first interval starts after
+  /// its tail. The list is a function of `state.placed` alone, so it is
+  /// computed once per state (see ResourceState).
+  const std::vector<CircleInterval>& free_gaps(ResourceState& state) const {
+    const std::vector<CircleInterval>& placed = state.placed;
+    ResourceState::Gaps& level = state.gaps[placed.size()];
+    std::vector<CircleInterval>& gaps = level.list;
+    if (level.valid) return gaps;
+    level.valid = true;
     gaps.clear();
-    if (state.empty()) {
+    if (placed.empty()) {
       gaps.push_back(CircleInterval{0.0, period_});
-      return;
+      return gaps;
     }
-    Seconds cursor = state.front().position + state.front().duration;
-    for (std::size_t i = 1; i < state.size(); ++i) {
-      const Seconds gap = state[i].position - cursor;
+    Seconds cursor = placed.front().position + placed.front().duration;
+    for (std::size_t i = 1; i < placed.size(); ++i) {
+      const Seconds gap = placed[i].position - cursor;
       if (gap > eps_) gaps.push_back(CircleInterval{cursor, gap});
-      cursor = std::max(cursor, state[i].position + state[i].duration);
+      cursor = std::max(cursor, placed[i].position + placed[i].duration);
     }
     // Wrap-around gap: from the last end back to the first start (+T).
-    const Seconds wrap_gap = state.front().position + period_ - cursor;
+    const Seconds wrap_gap = placed.front().position + period_ - cursor;
     if (wrap_gap > eps_) {
-      gaps.push_back(CircleInterval{std::fmod(cursor, period_), wrap_gap});
+      gaps.push_back(CircleInterval{circle_mod(cursor), wrap_gap});
     }
+    return gaps;
   }
 
   /// Earliest z ≥ ready whose circle position lies in [w0, w0+width]
-  /// (width ≥ 0; the window may wrap past T).
-  Seconds earliest_in_window(Seconds ready, Seconds w0, Seconds width) const {
-    const Seconds r0 = std::fmod(ready, period_);
-    const Seconds base = ready - r0;
+  /// (width ≥ 0; the window may wrap past T), where r0 = ready mod T and
+  /// base = ready − r0.
+  Seconds earliest_in_window(Seconds ready, Seconds r0, Seconds base,
+                             Seconds w0, Seconds width) const {
     const Seconds w1 = w0 + width;
     if (w1 < period_ + eps_) {
       if (r0 <= w1 + eps_) return base + std::max(r0, w0);
@@ -127,19 +154,21 @@ class Search {
       zs.push_back(ready);
       return zs;
     }
-    free_gaps(occupied_[op_resource_[index]], gaps_);
-    for (const CircleInterval& gap : gaps_) {
+    const Seconds r0 = circle_mod(ready);
+    const Seconds base = ready - r0;
+    for (const CircleInterval& gap :
+         free_gaps(occupied_[op_resource_[index]])) {
       if (gap.duration + eps_ < op.duration) continue;
       const Seconds slack = gap.duration - op.duration;
       // Earliest fit in the gap (memory-cheapest), plus the left- and
       // right-aligned placements: packing an op against a gap edge keeps
       // the remaining free space contiguous for later ops, which
       // earliest-fit alone can fragment.
-      zs.push_back(earliest_in_window(ready, gap.position, slack));
+      zs.push_back(earliest_in_window(ready, r0, base, gap.position, slack));
       if (slack > eps_) {
-        zs.push_back(earliest_in_window(ready, gap.position, 0.0));
-        const Seconds right = std::fmod(gap.position + slack, period_);
-        zs.push_back(earliest_in_window(ready, right, 0.0));
+        zs.push_back(earliest_in_window(ready, r0, base, gap.position, 0.0));
+        const Seconds right = circle_mod(gap.position + slack);
+        zs.push_back(earliest_in_window(ready, r0, base, right, 0.0));
       }
     }
     std::sort(zs.begin(), zs.end());
@@ -154,34 +183,37 @@ class Search {
     return zs;
   }
 
+  /// Insert op `index`'s interval at z and remember its slot: under LIFO
+  /// backtracking every interval inserted after it is gone again by its
+  /// unplace, so the slot still holds it then.
   void place(std::size_t index, Seconds z) {
     const CyclicOp& op = problem_.ops[index];
     if (op.duration <= eps_) return;
     ResourceState& state = occupied_[op_resource_[index]];
-    const Seconds phi = std::fmod(z, period_);
+    std::vector<CircleInterval>& placed = state.placed;
+    const Seconds phi = circle_mod(z);
     const auto it = std::lower_bound(
-        state.begin(), state.end(), phi,
+        placed.begin(), placed.end(), phi,
         [](const CircleInterval& iv, Seconds p) { return iv.position < p; });
-    state.insert(it, CircleInterval{phi, op.duration});
+    slot_[index] = static_cast<std::size_t>(it - placed.begin());
+    placed.insert(it, CircleInterval{phi, op.duration});
+    state.gaps[placed.size()].valid = false;
   }
 
-  void unplace(std::size_t index, Seconds z) {
+  void unplace(std::size_t index) {
     const CyclicOp& op = problem_.ops[index];
     if (op.duration <= eps_) return;
-    ResourceState& state = occupied_[op_resource_[index]];
-    const Seconds phi = std::fmod(z, period_);
-    const auto it = std::find_if(
-        state.begin(), state.end(), [&](const CircleInterval& iv) {
-          return std::abs(iv.position - phi) <= eps_ &&
-                 std::abs(iv.duration - op.duration) <= eps_;
-        });
-    MP_ENSURE(it != state.end(), "unplace of an interval that is not placed");
-    state.erase(it);
+    std::vector<CircleInterval>& placed =
+        occupied_[op_resource_[index]].placed;
+    const std::size_t slot = slot_[index];
+    MP_ENSURE(slot < placed.size() && placed[slot].duration == op.duration,
+              "unplace of an interval that is not placed");
+    placed.erase(placed.begin() + static_cast<std::ptrdiff_t>(slot));
   }
 
   bool dfs(std::size_t index, Seconds ready, BBResult& result) {
     if (index == problem_.ops.size()) {
-      return try_leaf(result);
+      return try_leaf(gate_.admits_placed(), result);
     }
     if (nodes_ >= options_.max_nodes) {
       budget_hit_ = true;
@@ -191,7 +223,6 @@ class Search {
 
     const CyclicOp& op = problem_.ops[index];
     for (const Seconds z : candidates(index, ready)) {
-      z_[index] = z;
       place(index, z);
 
       // Memory floor pruning once a stage's backward lands: in steady state
@@ -218,11 +249,12 @@ class Search {
         }
       }
 
-      if (!pruned && dfs(index + 1, z + op.duration, result)) {
-        return true;
+      if (!pruned) {
+        gate_.place(index, z);
+        if (dfs(index + 1, z + op.duration, result)) return true;
       }
       if (touched_proc >= 0) resident_floor_[touched_proc] -= floor_delta;
-      unplace(index, z);
+      unplace(index);
       if (budget_hit_) return false;
     }
     return false;
@@ -238,6 +270,7 @@ class Search {
   /// over with its shift-minimizing placements.
   bool try_compact_construction(BBResult& result) {
     std::vector<Seconds> cursor(occupied_.size(), 0.0);
+    std::vector<Seconds> zs(problem_.ops.size());
     Seconds ready = 0.0;
     for (std::size_t i = 0; i < problem_.ops.size(); ++i) {
       const CyclicOp& op = problem_.ops[i];
@@ -247,18 +280,18 @@ class Search {
       const Seconds base = std::floor(ready / period_) * period_;
       Seconds z = base + phi;
       if (z < ready - eps_) z += period_;
-      z_[i] = z;
+      zs[i] = z;
       phi += op.duration;
       ready = z + op.duration;
     }
-    return try_leaf(result);
+    return try_leaf(gate_.admits(zs), result);
   }
 
   /// The gate rejects exactly the leaves validate_pattern would reject for
   /// memory; the rest (normally the one accepted leaf) are verified in full.
-  bool try_leaf(BBResult& result) {
+  bool try_leaf(bool admitted, BBResult& result) {
     ++leaves_;
-    if (!gate_.admits(z_)) return false;
+    if (!admitted) return false;
     ++leaves_validated_;
     PeriodicPattern pattern{period_, gate_.ops()};
     const ValidationResult check =
@@ -280,9 +313,8 @@ class Search {
 
   std::vector<int> op_resource_;  ///< dense resource index per op
   std::vector<ResourceState> occupied_;
-  std::vector<Seconds> z_;
+  std::vector<std::size_t> slot_;  ///< per op: its interval's index if placed
   std::vector<std::vector<Seconds>> candidate_buffers_;  ///< one per depth
-  std::vector<CircleInterval> gaps_;
   std::vector<long long> forward_shift_;
   std::vector<Bytes> stage_bytes_;
   std::vector<Bytes> static_memory_;
@@ -304,7 +336,9 @@ LeafMemoryGate::LeafMemoryGate(const CyclicProblem& problem,
       period_(period),
       tolerance_(ValidationOptions{}.tolerance),
       limit_(platform.memory_per_processor * (1.0 + tolerance_)),
-      ops_(problem.ops.size()) {
+      ops_(problem.ops.size()),
+      z_(problem.ops.size(), 0.0),
+      op_processor_(problem.ops.size(), -1) {
   const Partitioning& parts = allocation.partitioning();
   const int num_stages = parts.num_stages();
   std::vector<const PatternOp*> fwd(num_stages, nullptr);
@@ -313,6 +347,9 @@ LeafMemoryGate::LeafMemoryGate(const CyclicProblem& problem,
     const CyclicOp& op = problem.ops[i];
     if (op.kind == OpKind::Forward) fwd[op.stage] = &ops_[i];
     if (op.kind == OpKind::Backward) bwd[op.stage] = &ops_[i];
+    if (op.kind == OpKind::Forward || op.kind == OpKind::Backward) {
+      op_processor_[i] = allocation.processor_of(op.stage);
+    }
   }
   const int procs = allocation.num_processors();
   processor_begin_.push_back(0);
@@ -326,35 +363,72 @@ LeafMemoryGate::LeafMemoryGate(const CyclicProblem& problem,
     processor_begin_.push_back(stages_.size());
     static_memory_.push_back(allocation.static_memory(chain, p));
   }
+  stale_.assign(procs, 1);
+  fits_.assign(procs, 0);
+}
+
+bool LeafMemoryGate::sweep(std::size_t p) const {
+  // validate_pattern fails when a processor's static memory plus its peak
+  // in-flight bytes exceeds the limit. Addition is monotone, so that holds
+  // exactly when some event's bytes already exceed it; the events are the
+  // sweep's, 0 and every F/B completion instant (mod T).
+  const SweepStage* stages = stages_.data() + processor_begin_[p];
+  const std::size_t count = processor_begin_[p + 1] - processor_begin_[p];
+  for (std::size_t e = 0; e <= 2 * count; ++e) {
+    Seconds tau = 0.0;
+    if (e > 0) {
+      const PatternOp& op = (e % 2 == 1) ? *stages[(e - 1) / 2].forward
+                                         : *stages[(e - 1) / 2].backward;
+      tau = std::fmod(op.start + op.duration, period_);
+    }
+    const InflightAt at =
+        inflight_at_event(stages, count, tau, period_, tolerance_);
+    if (at.negative >= 0 || static_memory_[p] + at.bytes > limit_) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool LeafMemoryGate::admits(const std::vector<Seconds>& z) {
   MP_EXPECT(z.size() == ops_.size(), "one virtual time per problem op");
+  z_ = z;
   for (std::size_t i = 0; i < ops_.size(); ++i) {
     const CyclicOp& op = problem_.ops[i];
     ops_[i] = PeriodicPattern::make_op(op.kind, op.stage, op.resource, z[i],
                                        op.duration, period_);
   }
-  // validate_pattern fails when a processor's static memory plus its peak
-  // in-flight bytes exceeds the limit. Addition is monotone, so that holds
-  // exactly when some event's bytes already exceed it; the events are the
-  // sweep's, 0 and every F/B completion instant (mod T).
+  // Every op may have changed, so no cached verdict survives this call.
+  std::fill(stale_.begin(), stale_.end(), 1);
   for (std::size_t p = 0; p < static_memory_.size(); ++p) {
-    const SweepStage* stages = stages_.data() + processor_begin_[p];
-    const std::size_t count = processor_begin_[p + 1] - processor_begin_[p];
-    for (std::size_t e = 0; e <= 2 * count; ++e) {
-      Seconds tau = 0.0;
-      if (e > 0) {
-        const PatternOp& op = (e % 2 == 1) ? *stages[(e - 1) / 2].forward
-                                           : *stages[(e - 1) / 2].backward;
-        tau = std::fmod(op.start + op.duration, period_);
-      }
-      const InflightAt at =
-          inflight_at_event(stages, count, tau, period_, tolerance_);
-      if (at.negative >= 0 || static_memory_[p] + at.bytes > limit_) {
-        return false;
-      }
+    if (!sweep(p)) return false;
+  }
+  return true;
+}
+
+void LeafMemoryGate::place(std::size_t index, Seconds z) {
+  z_[index] = z;
+  const int p = op_processor_[index];
+  if (p < 0) return;  // comm ops are built once a placement is admitted
+  const CyclicOp& op = problem_.ops[index];
+  ops_[index] = PeriodicPattern::make_op(op.kind, op.stage, op.resource, z,
+                                         op.duration, period_);
+  stale_[p] = 1;
+}
+
+bool LeafMemoryGate::admits_placed() {
+  for (std::size_t p = 0; p < stale_.size(); ++p) {
+    if (stale_[p]) {
+      fits_[p] = sweep(p) ? 1 : 0;
+      stale_[p] = 0;
     }
+    if (!fits_[p]) return false;
+  }
+  for (std::size_t i = 0; i < ops_.size(); ++i) {
+    if (op_processor_[i] >= 0) continue;
+    const CyclicOp& op = problem_.ops[i];
+    ops_[i] = PeriodicPattern::make_op(op.kind, op.stage, op.resource, z_[i],
+                                       op.duration, period_);
   }
   return true;
 }

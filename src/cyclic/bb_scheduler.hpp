@@ -19,7 +19,9 @@
 // one. A leaf therefore first passes LeafMemoryGate, the exact memory check
 // of validate_pattern without its allocations, and only a leaf the gate
 // admits is verified in full with validate_pattern. Every returned pattern
-// has passed validate_pattern (DESIGN.md §16).
+// has passed validate_pattern (DESIGN.md §16). Node and leaf state is kept
+// incrementally (free-gap lists per resource, memory verdicts per
+// processor) without changing the search tree.
 #pragma once
 
 #include <vector>
@@ -56,8 +58,17 @@ BBResult bb_schedule(const CyclicProblem& problem, const Allocation& allocation,
 /// Exact activation-memory check of a complete placement at one period:
 /// step 4 of validate_pattern (the per-processor event sweep, including its
 /// negative in-flight rejection, with the same expressions, summation order
-/// and default tolerance), over buffers sized once. admits() is false
+/// and default tolerance), over buffers sized once. A verdict is false
 /// exactly when validate_pattern's memory check would reject the pattern.
+///
+/// Two ways in: admits(z) builds every op and sweeps every processor (the
+/// reference path); place() + admits_placed() is the incremental path the
+/// search takes. place() builds an F/B op as soon as its virtual time is
+/// known and marks its processor stale; admits_placed() re-sweeps only stale
+/// processors, reuses the others' verdicts, and builds the comm ops only
+/// when the placement is admitted. A processor's verdict depends on nothing
+/// but its own stages' F/B ops, so both paths reach the same verdict and
+/// the same ops().
 class LeafMemoryGate {
  public:
   LeafMemoryGate(const CyclicProblem& problem, const Allocation& allocation,
@@ -70,20 +81,38 @@ class LeafMemoryGate {
   /// chain order) with PeriodicPattern::make_op and sweep their memory.
   bool admits(const std::vector<Seconds>& z);
 
-  /// The ops the last admits() call built, in problem op order.
+  /// Set op `index` to virtual time `z`.
+  void place(std::size_t index, Seconds z);
+
+  /// The verdict on the ops set by place() (every op must have been set
+  /// since construction or the last admits()).
+  bool admits_placed();
+
+  /// The ops the last admits() call built, or those of the placement
+  /// admits_placed() last admitted, in problem op order.
   const std::vector<PatternOp>& ops() const noexcept { return ops_; }
 
  private:
+  /// Sweep processor p's events; false when its memory is exceeded.
+  bool sweep(std::size_t p) const;
+
   const CyclicProblem& problem_;
   Seconds period_;
   double tolerance_;
   Bytes limit_;  ///< M·(1 + tolerance), as validate_pattern computes it
   std::vector<PatternOp> ops_;
+  std::vector<Seconds> z_;  ///< virtual times set by place()
+  /// Processor of each F/B op, -1 for comm ops.
+  std::vector<int> op_processor_;
   /// Stages grouped by processor in Allocation::stages_on order; processor
   /// p owns stages_[processor_begin_[p], processor_begin_[p + 1]).
   std::vector<SweepStage> stages_;
   std::vector<std::size_t> processor_begin_;
   std::vector<Bytes> static_memory_;
+  /// Per processor: an F/B op changed since its verdict was computed, and
+  /// that verdict.
+  std::vector<char> stale_;
+  std::vector<char> fits_;
 };
 
 }  // namespace madpipe

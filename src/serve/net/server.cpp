@@ -173,10 +173,12 @@ struct NetServer::Impl {
 
   void push_completion(std::uint64_t conn, std::uint64_t seq,
                        std::string line) {
-    {
-      const std::lock_guard<std::mutex> lock(completion_mutex);
-      completions.push_back(Completion{conn, seq, std::move(line)});
-    }
+    // Wake under the lock: once the loop thread can take this completion,
+    // it may flush the last in-flight response and exit, and the destructor
+    // then closes the loop's eventfd. Holding completion_mutex across the
+    // write keeps it before the loop's next drain_completions().
+    const std::lock_guard<std::mutex> lock(completion_mutex);
+    completions.push_back(Completion{conn, seq, std::move(line)});
     loop.wake();
   }
 

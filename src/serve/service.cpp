@@ -177,15 +177,15 @@ void PlanService::submit_impl(PlanRequest request,
   waiter->submitted = submitted;
 
   // 1. Cache: a hit completes synchronously — no queue, no planner.
-  if (cached.has_value()) {
+  const auto complete_hit = [&](const CachedPlan& hit) {
     span->arg("outcome", static_cast<long long>(CacheOutcome::Hit));
     PlanResponse response;
     response.id = request.id;
     response.trace_id = request.trace_id;
     response.cache = CacheOutcome::Hit;
-    if (cached->feasible()) {
+    if (hit.feasible()) {
       response.status = ResponseStatus::Ok;
-      response.plan = denormalize_plan(*cached->plan, canonical.time_unit);
+      response.plan = denormalize_plan(*hit.plan, canonical.time_unit);
       if (request.report_explain) {
         // The request's own chain/platform are at hand here, so summarize the
         // denormalized plan directly (bit-identical to summarizing the
@@ -210,8 +210,8 @@ void PlanService::submit_impl(PlanRequest request,
     {
       const std::lock_guard<std::mutex> lock(stats_mutex_);
       ++counters_.hits;
-      if (canonical.time_unit != cached->creator_time_unit ||
-          canonical.byte_unit != cached->creator_byte_unit) {
+      if (canonical.time_unit != hit.creator_time_unit ||
+          canonical.byte_unit != hit.creator_byte_unit) {
         // The entry was created by a request in different (power-of-two
         // related) units: the cache is being shared across a rescale.
         ++counters_.scaled_hits;
@@ -224,6 +224,9 @@ void PlanService::submit_impl(PlanRequest request,
     sample_completion(*waiter, response,
                       PhaseTimings{cache_seconds, 0.0, 0.0});
     deliver(*waiter, std::move(response));
+  };
+  if (cached.has_value()) {
+    complete_hit(*cached);
     return;
   }
 
@@ -246,6 +249,16 @@ void PlanService::submit_impl(PlanRequest request,
         ++counters_.coalesced;
         return;
       }
+    }
+    // The run this request would coalesce onto may have inserted its plan
+    // and retired its registration since the probe above. It inserts before
+    // it retires, and it retires under mutex_, so probing again here finds
+    // that plan instead of enqueueing a second planner run. (Lock order:
+    // mutex_, then a cache shard's; the cache never calls back in.)
+    if (std::optional<CachedPlan> late = cache_.find(canonical)) {
+      lock.unlock();
+      complete_hit(*late);
+      return;
     }
     // 3. Enqueue, or reject under backpressure.
     if (queue_.size() >= options_.queue_capacity) {

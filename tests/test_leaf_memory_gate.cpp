@@ -290,5 +290,86 @@ TEST(LeafMemoryGate, SearchCountsLeavesAndValidatesOnlyAdmittedOnes) {
   EXPECT_LT(found.leaves_validated, found.leaves);
 }
 
+TEST(LeafMemoryGate, IncrementalPathAgreesWithAdmitsOnRandomReplacements) {
+  // The search's path: place() every op, then re-place suffixes (DFS
+  // backtracking), single ops, or whole-period moves, and ask
+  // admits_placed() at each leaf; now and then the whole placement goes
+  // through admits() on the same gate, as the compact construction does
+  // before the DFS. At every leaf the verdict must match a separate gate's
+  // admits(z), and an admitted leaf's ops must match bit for bit.
+  Tally tally;
+  for (unsigned seed = 200; seed < 220; ++seed) {
+    const Chain chain = random_chain(seed, 6);
+    const Platform platform{2, (1.0 + (seed % 4) * 0.8) * GB, 12 * GB};
+    const Allocation allocation = fuzz_allocation(chain, seed);
+    const CyclicProblem problem =
+        build_cyclic_problem(allocation, chain, platform);
+    const std::size_t count = problem.ops.size();
+    std::mt19937 rng(seed);
+    for (const double factor : {1.05, 1.3, 1.8}) {
+      const Seconds period = problem.min_period * factor;
+      LeafMemoryGate incremental(problem, allocation, chain, platform,
+                                 period);
+      LeafMemoryGate reference(problem, allocation, chain, platform, period);
+      std::uniform_real_distribution<double> lag(0.0, 0.5 * period);
+      std::uniform_int_distribution<std::size_t> pick(0, count - 1);
+      std::uniform_int_distribution<int> periods(-1, 2);
+      std::vector<Seconds> z(count);
+      const auto place_from = [&](std::size_t first) {
+        Seconds ready = first == 0 ? 0.0
+                                   : z[first - 1] +
+                                         problem.ops[first - 1].duration;
+        for (std::size_t i = first; i < count; ++i) {
+          z[i] = ready + lag(rng);
+          ready = z[i] + problem.ops[i].duration;
+          incremental.place(i, z[i]);
+        }
+      };
+      place_from(0);
+      for (int step = 0; step < 60; ++step) {
+        const std::string label = "seed " + std::to_string(seed) +
+                                  " factor " + std::to_string(factor) +
+                                  " step " + std::to_string(step);
+        bool admitted = false;
+        if (step % 10 == 9) {
+          admitted = incremental.admits(z);
+        } else {
+          admitted = incremental.admits_placed();
+        }
+        const bool expected = reference.admits(z);
+        EXPECT_EQ(admitted, expected) << label;
+        if (admitted && expected) {
+          for (std::size_t i = 0; i < count; ++i) {
+            EXPECT_EQ(incremental.ops()[i].start, reference.ops()[i].start)
+                << label << " op " << i;
+            EXPECT_EQ(incremental.ops()[i].shift, reference.ops()[i].shift)
+                << label << " op " << i;
+          }
+        }
+        ++(admitted ? tally.admitted : tally.rejected);
+
+        switch (step % 3) {
+          case 0:  // backtrack: a new suffix, as the DFS re-expands
+            place_from(pick(rng));
+            break;
+          case 1:  // the last op alone, the commonest leaf-to-leaf change
+            z[count - 1] += lag(rng);
+            incremental.place(count - 1, z[count - 1]);
+            break;
+          default: {  // one op moved by whole periods (its shift only)
+            const std::size_t i = pick(rng);
+            const Seconds moved = z[i] + periods(rng) * period;
+            if (moved >= 0.0) z[i] = moved;
+            incremental.place(i, z[i]);
+            break;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(tally.admitted, 0);
+  EXPECT_GT(tally.rejected, 0);
+}
+
 }  // namespace
 }  // namespace madpipe
