@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,20 @@ const SeedPin kSeedPins[] = {
      0x3ff4f412657368d4ULL, 0x3ff298be0ab6a220ULL,
      "1-3@3;4-8@0;9-10@3;11-16@1;17-24@2"},
 };
+
+/// gtest puts the printed parameter in each test's listed name. Without this
+/// it prints the struct's raw bytes, and the pointer fields among them move
+/// with every build and every load address, so the names would too.
+void PrintTo(const SeedPin& pin, std::ostream* os) {
+  switch (pin.probe) {
+    case Probe::Plan: *os << "Plan"; return;
+    case Probe::Phase1: *os << "Phase1"; return;
+    case Probe::DpProbe: *os << "DpProbe"; return;
+    case Probe::ServeMiss: *os << "ServeMiss"; return;
+    case Probe::ServeHit: *os << "ServeHit"; return;
+    case Probe::ServeScaledHit: *os << "ServeScaledHit"; return;
+  }
+}
 
 std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 
