@@ -272,4 +272,16 @@ std::string Registry::json() const {
   return writer.str();
 }
 
+Counter& bind(Sum, std::string_view name, std::string_view help) {
+  return Registry::global().counter(name, help);
+}
+
+Gauge& bind(Max, std::string_view name, std::string_view help) {
+  return Registry::global().gauge(name, help);
+}
+
+Histogram& bind(Wall, std::string_view name, std::string_view help) {
+  return Registry::global().histogram(name, latency_bounds_seconds(), help);
+}
+
 }  // namespace madpipe::obs

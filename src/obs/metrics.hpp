@@ -2,23 +2,28 @@
 // gauges and fixed-bucket latency histograms, shared by the planner and the
 // serve subsystem.
 //
-// The legacy per-run counter structs (PlannerStats, serve::ServeStats) stay
-// the per-result API — their fields are unchanged and every existing test
-// keeps working. This registry is the *cumulative* process view: each
-// subsystem publishes its per-run deltas into it (PlannerStats::publish at
-// the end of plan_madpipe, PlanService as requests complete), so
-// `madpipe stats`, --metrics-out files and the Prometheus-style text dump
-// see one coherent namespace (madpipe_planner_*, madpipe_serve_*).
+// The per-result structs (PlannerStats, serve::ServeStats,
+// serve::net::NetServerStats) are each generated from one counter table: an
+// X-macro with one row per counter holding the field name, the registry
+// name, the help text and the row's kind (Sum, Max or Wall below). The same
+// table declares the struct and binds its registry entries, so a field and
+// its registry twin cannot drift apart. The registry is the *cumulative*
+// process view: PlannerStats::publish adds each plan's counts at the end of
+// plan_madpipe, and PlanService and NetServer add every event to their own
+// OwnedCounter/OwnedHistogram, which also adds it here. `madpipe stats`,
+// --metrics-out files and the Prometheus-style text dump see one coherent
+// namespace (madpipe_planner_*, madpipe_serve_*, madpipe_net_*).
 //
 // Thread-safety: Counter/Gauge/Histogram updates are relaxed atomics
 // (lock-free, safe from any thread). Entity creation and the text/JSON
 // dumps take the registry mutex. Entities are never destroyed or moved —
 // references returned by counter()/gauge()/histogram() stay valid for the
-// process lifetime, so callers cache them (e.g. in a function-local static)
-// and pay one lookup ever. reset_for_tests() zeroes values but keeps every
-// entity alive.
+// process lifetime, so callers cache them (e.g. in a function-local static
+// or a member) and pay one lookup ever. reset_for_tests() zeroes values but
+// keeps every entity alive.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <mutex>
@@ -66,11 +71,17 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
+/// Log-spaced latency bounds from 1 µs to 100 s (5 per decade), the default
+/// for the madpipe_*_seconds histograms.
+std::vector<double> latency_bounds_seconds();
+
 /// Fixed-bucket histogram in the Prometheus style: `bounds` are the finite
 /// upper bounds, plus an implicit +Inf bucket; counts are cumulative in the
 /// text exposition and per-bucket in the JSON dump. observe() is lock-free.
 class Histogram {
  public:
+  explicit Histogram(std::vector<double> bounds = latency_bounds_seconds());
+
   void observe(double v) noexcept;
 
   long long count() const noexcept {
@@ -85,16 +96,11 @@ class Histogram {
 
  private:
   friend class Registry;
-  explicit Histogram(std::vector<double> bounds);
   std::vector<double> bounds_;
   std::vector<std::atomic<long long>> buckets_;  ///< bounds_.size() + 1
   std::atomic<long long> count_{0};
   std::atomic<double> sum_{0.0};
 };
-
-/// Log-spaced latency bounds from 1 µs to 100 s (5 per decade), the default
-/// for the madpipe_*_seconds histograms.
-std::vector<double> latency_bounds_seconds();
 
 /// Prometheus-style quantile estimate from fixed buckets: find the bucket
 /// containing rank q·count and interpolate linearly inside it (the bucket's
@@ -145,6 +151,83 @@ class Registry {
 
   mutable std::recursive_mutex mutex_;
   std::vector<Entry*> entries_;  ///< owned; never destroyed (process-lifetime)
+};
+
+// ---- Counter tables ---------------------------------------------------------
+// The kind of a counter-table row: the field's C++ type, how two per-run
+// values merge, and the registry entity the row publishes into. Tables name
+// the kind as a token (`X(Sum, dp_probes, ...)`) and expand it as
+// `obs::Sum`.
+
+/// Summed counter: a long long, merged by adding, an obs::Counter.
+struct Sum {
+  using type = long long;
+  using entity = Counter;
+};
+/// Max-merged gauge: a double, merged by max, an obs::Gauge that holds the
+/// latest published value.
+struct Max {
+  using type = double;
+  using entity = Gauge;
+};
+/// Wall time in seconds: merged by adding, one obs::Histogram observation
+/// per publish.
+struct Wall {
+  using type = double;
+  using entity = Histogram;
+};
+
+inline long long merge(Sum, long long a, long long b) noexcept { return a + b; }
+inline double merge(Max, double a, double b) noexcept { return std::max(a, b); }
+inline double merge(Wall, double a, double b) noexcept { return a + b; }
+
+/// A row's entity in Registry::global(), found or created.
+Counter& bind(Sum, std::string_view name, std::string_view help);
+Gauge& bind(Max, std::string_view name, std::string_view help);
+Histogram& bind(Wall, std::string_view name, std::string_view help);
+
+inline void record(Counter& counter, long long value) noexcept {
+  counter.add(value);
+}
+inline void record(Gauge& gauge, double value) noexcept { gauge.set(value); }
+inline void record(Histogram& histogram, double value) noexcept {
+  histogram.observe(value);
+}
+
+/// A counter owned by one object (a PlanService, a NetServer) whose every
+/// add also lands in the registry counter of the same name, so the owner
+/// keeps its own count while the registry holds the process-wide sum.
+class OwnedCounter {
+ public:
+  OwnedCounter(std::string_view name, std::string_view help)
+      : global_(bind(Sum{}, name, help)) {}
+  void add(long long delta = 1) noexcept {
+    own_.add(delta);
+    global_.add(delta);
+  }
+  long long value() const noexcept { return own_.value(); }
+  /// The process-wide sum over every owner.
+  long long total() const noexcept { return global_.value(); }
+
+ private:
+  Counter own_;
+  Counter& global_;
+};
+
+/// The histogram twin of OwnedCounter (latency_bounds_seconds() buckets).
+class OwnedHistogram {
+ public:
+  OwnedHistogram(std::string_view name, std::string_view help)
+      : global_(bind(Wall{}, name, help)) {}
+  void observe(double v) noexcept {
+    own_.observe(v);
+    global_.observe(v);
+  }
+  const Histogram& own() const noexcept { return own_; }
+
+ private:
+  Histogram own_;
+  Histogram& global_;
 };
 
 }  // namespace madpipe::obs

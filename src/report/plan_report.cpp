@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "obs/metrics.hpp"
 #include "sim/event_sim.hpp"
 #include "util/expect.hpp"
 #include "util/format.hpp"
@@ -384,6 +385,17 @@ ExplainSummary scale_summary(ExplainSummary summary, double time_unit,
   summary.memory_peak_bytes *= byte_unit;
   summary.memory_headroom_bytes *= byte_unit;
   return summary;
+}
+
+void publish_quality(const ExplainSummary& summary) {
+  static obs::Gauge& utilization = obs::Registry::global().gauge(
+      "madpipe_schedule_utilization",
+      "Mean GPU utilization of the last explained plan");
+  static obs::Gauge& headroom = obs::Registry::global().gauge(
+      "madpipe_memory_headroom_bytes",
+      "Min per-GPU memory headroom of the last explained plan");
+  utilization.set(summary.mean_gpu_utilization);
+  headroom.set(summary.memory_headroom_bytes);
 }
 
 }  // namespace madpipe::report

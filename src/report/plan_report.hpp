@@ -161,4 +161,9 @@ ExplainSummary build_explain_summary(const Plan& plan, const Chain& chain,
 ExplainSummary scale_summary(ExplainSummary summary, double time_unit,
                              double byte_unit);
 
+/// Set the plan-quality gauges of the process-wide obs::Registry from the
+/// last explained plan (`madpipe explain`, or a serve response that carries
+/// a summary), so dashboards can watch plan quality live.
+void publish_quality(const ExplainSummary& summary);
+
 }  // namespace madpipe::report

@@ -24,45 +24,20 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Registry bindings for the network layer (process-lifetime references,
-/// find-or-create once).
-struct NetMetrics {
-  obs::Counter& accepted;
-  obs::Counter& closed;
-  obs::Counter& frames;
-  obs::Counter& responses;
-  obs::Counter& shed_rate;
-  obs::Counter& shed_depth;
-  obs::Counter& protocol_errors;
-  obs::Counter& bytes_in;
-  obs::Counter& bytes_out;
-  obs::Gauge& connections;
-  obs::Gauge& queue_depth;
+/// One server's live counters, generated from the NetServerStats table,
+/// plus the registry-only network gauges. Each add() also lands in the
+/// process-wide registry.
+struct NetCounters {
+#define MADPIPE_NET_LIVE(field, metric, help) \
+  obs::OwnedCounter field{metric, help};
+  MADPIPE_NET_STATS(MADPIPE_NET_LIVE)
+#undef MADPIPE_NET_LIVE
+  obs::Gauge& connections = obs::Registry::global().gauge(
+      "madpipe_net_connections", "Open TCP connections");
+  obs::Gauge& queue_depth = obs::Registry::global().gauge(
+      "madpipe_net_queue_depth",
+      "PlanService queue depth as last sampled by the server");
 };
-
-NetMetrics& net_metrics() {
-  static NetMetrics* metrics = [] {
-    obs::Registry& r = obs::Registry::global();
-    return new NetMetrics{
-        r.counter("madpipe_net_accepted_total", "TCP connections accepted"),
-        r.counter("madpipe_net_closed_total", "TCP connections closed"),
-        r.counter("madpipe_net_frames_total", "Request frames received"),
-        r.counter("madpipe_net_responses_total", "Response frames queued"),
-        r.counter("madpipe_net_shed_rate_total",
-                  "Frames rejected by a per-connection token bucket"),
-        r.counter("madpipe_net_shed_depth_total",
-                  "Frames rejected by service backlog depth"),
-        r.counter("madpipe_net_protocol_errors_total",
-                  "Malformed frames answered with an error response"),
-        r.counter("madpipe_net_bytes_in_total", "Bytes read from clients"),
-        r.counter("madpipe_net_bytes_out_total", "Bytes written to clients"),
-        r.gauge("madpipe_net_connections", "Open TCP connections"),
-        r.gauge("madpipe_net_queue_depth",
-                "PlanService queue depth as last sampled by the server"),
-    };
-  }();
-  return *metrics;
-}
 
 /// An in-order response slot: seq slots fill out of order (hits beat
 /// misses), the connection flushes the ready prefix.
@@ -145,9 +120,7 @@ struct NetServer::Impl {
   /// retire() marks them and the loop erases between event batches.
   std::vector<std::uint64_t> graveyard;
 
-  std::atomic<long long> accepted{0}, closed{0}, frames{0}, responses{0},
-      shed_rate{0}, shed_depth{0}, protocol_errors{0}, oversized{0},
-      bytes_in{0}, bytes_out{0};
+  NetCounters counters;
 
   Impl(PlanService& svc, const NetServerOptions& opts)
       : service(svc),
@@ -225,8 +198,7 @@ struct NetServer::Impl {
           id = batch.requests[0].id;
         }
         if (!error.empty()) {
-          protocol_errors.fetch_add(1, std::memory_order_relaxed);
-          net_metrics().protocol_errors.increment();
+          counters.protocol_errors.add();
           PlanResponse failure = error_response(id, error);
           failure.trace_id = work.trace_id;
           push_completion(work.conn, work.seq, response_to_json(failure));
@@ -348,10 +320,9 @@ struct NetServer::Impl {
       by_fd.emplace(fd, conn->id);
       by_id.emplace(conn->id, std::move(conn));
       ++count;
-      accepted.fetch_add(1, std::memory_order_relaxed);
-      net_metrics().accepted.increment();
+      counters.accepted.add();
     }
-    net_metrics().connections.set(static_cast<double>(by_fd.size()));
+    counters.connections.set(static_cast<double>(by_fd.size()));
     span.arg("count", count);
   }
 
@@ -373,8 +344,7 @@ struct NetServer::Impl {
         conn.close_after_flush = true;
         break;
       }
-      bytes_in.fetch_add(n, std::memory_order_relaxed);
-      net_metrics().bytes_in.add(static_cast<long long>(n));
+      counters.bytes_in.add(static_cast<long long>(n));
       conn.in.append(buffer, static_cast<std::size_t>(n));
       extract_frames(conn);
       if (!conn.alive()) return;
@@ -412,8 +382,7 @@ struct NetServer::Impl {
   }
 
   void admit_frame(Connection& conn, std::string frame) {
-    frames.fetch_add(1, std::memory_order_relaxed);
-    net_metrics().frames.increment();
+    counters.frames.add();
     // Ingress: every frame — even one shed right here — gets a trace id,
     // echoed in its response. The id and the admission timestamp travel
     // with the Work item (NOT inside the memoized PlanRequest: the frame
@@ -437,8 +406,7 @@ struct NetServer::Impl {
       conn.tokens = std::min(options.token_burst,
                              conn.tokens + elapsed * options.tokens_per_second);
       if (conn.tokens < 1.0) {
-        shed_rate.fetch_add(1, std::memory_order_relaxed);
-        net_metrics().shed_rate.increment();
+        counters.shed_rate.add();
         complete_inline(conn, rejected_line("rate limit exceeded", trace_id));
         return;
       }
@@ -448,10 +416,9 @@ struct NetServer::Impl {
     // Backlog shed: when the service queue is already at the shed depth, a
     // planner-bound frame would only stack latency — bounce it before parse.
     const std::size_t depth = service.queue_depth();
-    net_metrics().queue_depth.set(static_cast<double>(depth));
+    counters.queue_depth.set(static_cast<double>(depth));
     if (depth >= options.shed_queue_depth) {
-      shed_depth.fetch_add(1, std::memory_order_relaxed);
-      net_metrics().shed_depth.increment();
+      counters.shed_depth.add();
       complete_inline(conn, rejected_line("service backlog full", trace_id));
       return;
     }
@@ -499,8 +466,7 @@ struct NetServer::Impl {
       --conn.inflight;
     }
     slot.line = std::move(line);
-    responses.fetch_add(1, std::memory_order_relaxed);
-    net_metrics().responses.increment();
+    counters.responses.add();
     flush_ready(conn);
   }
 
@@ -533,8 +499,7 @@ struct NetServer::Impl {
         abort_connection(conn);
         return;
       }
-      bytes_out.fetch_add(n, std::memory_order_relaxed);
-      net_metrics().bytes_out.add(static_cast<long long>(n));
+      counters.bytes_out.add(static_cast<long long>(n));
       conn.out.erase(0, static_cast<std::size_t>(n));
     }
     update_interest(conn);
@@ -569,7 +534,7 @@ struct NetServer::Impl {
   }
 
   void oversize_close(Connection& conn) {
-    oversized.fetch_add(1, std::memory_order_relaxed);
+    counters.oversized.add();
     complete_inline(
         conn, response_to_json(error_response(
                   "", "frame exceeds " +
@@ -595,9 +560,8 @@ struct NetServer::Impl {
     by_fd.erase(conn.fd);
     ::close(conn.fd);
     conn.fd = -1;
-    closed.fetch_add(1, std::memory_order_relaxed);
-    net_metrics().closed.increment();
-    net_metrics().connections.set(static_cast<double>(by_fd.size()));
+    counters.closed.add();
+    counters.connections.set(static_cast<double>(by_fd.size()));
   }
 
   void retire(Connection& conn) {
@@ -639,17 +603,10 @@ bool NetServer::draining() const noexcept {
 
 NetServerStats NetServer::stats() const {
   NetServerStats stats;
-  stats.accepted = impl_->accepted.load(std::memory_order_relaxed);
-  stats.closed = impl_->closed.load(std::memory_order_relaxed);
-  stats.frames = impl_->frames.load(std::memory_order_relaxed);
-  stats.responses = impl_->responses.load(std::memory_order_relaxed);
-  stats.shed_rate = impl_->shed_rate.load(std::memory_order_relaxed);
-  stats.shed_depth = impl_->shed_depth.load(std::memory_order_relaxed);
-  stats.protocol_errors =
-      impl_->protocol_errors.load(std::memory_order_relaxed);
-  stats.oversized = impl_->oversized.load(std::memory_order_relaxed);
-  stats.bytes_in = impl_->bytes_in.load(std::memory_order_relaxed);
-  stats.bytes_out = impl_->bytes_out.load(std::memory_order_relaxed);
+#define MADPIPE_NET_SNAPSHOT(field, metric, help) \
+  stats.field = impl_->counters.field.value();
+  MADPIPE_NET_STATS(MADPIPE_NET_SNAPSHOT)
+#undef MADPIPE_NET_SNAPSHOT
   return stats;
 }
 

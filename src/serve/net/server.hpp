@@ -26,7 +26,6 @@
 // PlanService's state-budget valve unchanged.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -59,18 +58,31 @@ struct NetServerOptions {
   bool edge_triggered = false;  ///< epoll ET (read/write paths drain anyway)
 };
 
-/// Monotonic counters, readable at any time (atomics; no lock).
+// The counter table: X(field, registry name, help), one row per counter.
+// Every row is a summed counter (obs::Sum): one per server, readable at any
+// time without a lock, plus its process-wide registry total.
+#define MADPIPE_NET_STATS(X)                                                  \
+  X(accepted, "madpipe_net_accepted_total", "TCP connections accepted")       \
+  X(closed, "madpipe_net_closed_total", "TCP connections closed")             \
+  X(frames, "madpipe_net_frames_total", "Complete request lines seen")        \
+  X(responses, "madpipe_net_responses_total",                                 \
+    "Response lines queued for writing")                                      \
+  X(shed_rate, "madpipe_net_shed_rate_total",                                 \
+    "Frames rejected by a per-connection token bucket")                       \
+  X(shed_depth, "madpipe_net_shed_depth_total",                               \
+    "Frames rejected by service backlog depth")                               \
+  X(protocol_errors, "madpipe_net_protocol_errors_total",                     \
+    "Malformed frames answered with an error response")                       \
+  X(oversized, "madpipe_net_oversized_total",                                 \
+    "Frames past max_frame_bytes (the connection is closed)")                 \
+  X(bytes_in, "madpipe_net_bytes_in_total", "Bytes read from clients")        \
+  X(bytes_out, "madpipe_net_bytes_out_total", "Bytes written to clients")
+
+/// Snapshot of one server's counters.
 struct NetServerStats {
-  long long accepted = 0;
-  long long closed = 0;
-  long long frames = 0;           ///< complete request lines seen
-  long long responses = 0;        ///< response lines queued for writing
-  long long shed_rate = 0;        ///< rejected by a connection token bucket
-  long long shed_depth = 0;       ///< rejected by service backlog depth
-  long long protocol_errors = 0;  ///< malformed frames (error response sent)
-  long long oversized = 0;        ///< frames past max_frame_bytes (closed)
-  long long bytes_in = 0;
-  long long bytes_out = 0;
+#define MADPIPE_NET_FIELD(field, metric, help) long long field = 0;
+  MADPIPE_NET_STATS(MADPIPE_NET_FIELD)
+#undef MADPIPE_NET_FIELD
 };
 
 class NetServer {

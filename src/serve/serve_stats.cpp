@@ -1,114 +1,61 @@
 #include "serve/serve_stats.hpp"
 
 #include "util/json.hpp"
-#include "util/stats.hpp"
 
 namespace madpipe::serve {
 
 void ServeStats::write_json(json::Writer& w) const {
   w.begin_object();
-  w.key("requests"); w.value(requests);
-  w.key("hits"); w.value(hits);
-  w.key("scaled_hits"); w.value(scaled_hits);
-  w.key("misses"); w.value(misses);
-  w.key("coalesced"); w.value(coalesced);
-  w.key("rejected"); w.value(rejected);
-  w.key("degraded"); w.value(degraded);
-  w.key("errors"); w.value(errors);
-  w.key("shutdowns"); w.value(shutdowns);
-  w.key("planner_runs"); w.value(planner_runs);
-  w.key("evictions"); w.value(evictions);
-  w.key("expirations"); w.value(expirations);
-  w.key("key_collisions"); w.value(key_collisions);
-  w.key("cache_entries"); w.value(cache_entries);
-  w.key("cache_bytes"); w.value(cache_bytes);
-  w.key("hit_p50_seconds"); w.value(hit_p50_seconds);
-  w.key("hit_p99_seconds"); w.value(hit_p99_seconds);
-  w.key("miss_p50_seconds"); w.value(miss_p50_seconds);
-  w.key("miss_p99_seconds"); w.value(miss_p99_seconds);
+#define MADPIPE_SERVE_JSON(field, ...) \
+  w.key(#field);                       \
+  w.value(field);
+#define MADPIPE_SERVE_LATENCY_JSON(outcome, metric, help) \
+  w.key(#outcome "_p50_seconds");                         \
+  w.value(outcome##_p50_seconds);                         \
+  w.key(#outcome "_p99_seconds");                         \
+  w.value(outcome##_p99_seconds);
+  MADPIPE_SERVE_STATS(MADPIPE_SERVE_JSON, MADPIPE_SERVE_JSON,
+                      MADPIPE_SERVE_LATENCY_JSON)
+#undef MADPIPE_SERVE_JSON
+#undef MADPIPE_SERVE_LATENCY_JSON
   w.end_object();
 }
 
-ServeMetrics& serve_metrics() {
-  static ServeMetrics* metrics = [] {
-    obs::Registry& r = obs::Registry::global();
-    return new ServeMetrics{
-        r.counter("madpipe_serve_requests_total",
-                  "Submissions accepted into the service"),
-        r.counter("madpipe_serve_hits_total", "Served from the plan cache"),
-        r.counter("madpipe_serve_scaled_hits_total",
-                  "Hits served by exact unit rescaling (subset of hits)"),
-        r.counter("madpipe_serve_misses_total",
-                  "Requests that ran the planner"),
-        r.counter("madpipe_serve_coalesced_total",
-                  "Attached to an identical in-flight request"),
-        r.counter("madpipe_serve_rejected_total",
-                  "Bounced by queue backpressure"),
-        r.counter("madpipe_serve_degraded_total",
-                  "Deadline-reduced state budget truncated a DP"),
-        r.counter("madpipe_serve_errors_total",
-                  "Planner threw / request invalid"),
-        r.counter("madpipe_serve_shutdowns_total",
-                  "Queued requests cancelled at service destruction"),
-        r.counter("madpipe_serve_planner_runs_total",
-                  "plan_madpipe invocations (the expensive op)"),
-        r.gauge("madpipe_serve_cache_evictions",
-                "Cumulative LRU byte-budget evictions (snapshot mirror)"),
-        r.gauge("madpipe_serve_cache_expirations",
-                "Cumulative TTL evictions (snapshot mirror)"),
-        r.gauge("madpipe_serve_cache_key_collisions",
-                "64-bit key matched, fingerprint did not (snapshot mirror)"),
-        r.gauge("madpipe_serve_cache_entries", "Plan-cache entries"),
-        r.gauge("madpipe_serve_cache_bytes", "Plan-cache resident bytes"),
-        r.gauge("madpipe_schedule_utilization",
-                "Mean GPU utilization of the last explained plan"),
-        r.gauge("madpipe_memory_headroom_bytes",
-                "Min per-GPU memory headroom of the last explained plan"),
-        r.gauge("madpipe_serve_queue_depth",
-                "Jobs accepted but not yet picked up by a planner worker"),
-        r.gauge("madpipe_serve_hit_rate",
-                "Cache hits / accepted requests since process start"),
-        r.histogram("madpipe_serve_hit_latency_seconds",
-                    obs::latency_bounds_seconds(),
-                    "submit-to-complete latency of cache hits"),
-        r.histogram("madpipe_serve_miss_latency_seconds",
-                    obs::latency_bounds_seconds(),
-                    "submit-to-complete latency of planned requests"),
-    };
-  }();
-  return *metrics;
+ServeStats ServeCounters::snapshot(const PlanCacheCounters& cache) const {
+  ServeStats stats;
+#define MADPIPE_SERVE_COUNT_SNAPSHOT(field, metric, help) \
+  stats.field = field.value();
+#define MADPIPE_SERVE_CACHE_SNAPSHOT(field, member, metric, help) \
+  stats.field = cache.member;
+#define MADPIPE_SERVE_LATENCY_SNAPSHOT(outcome, metric, help)     \
+  stats.outcome##_p50_seconds =                                   \
+      obs::histogram_quantile(outcome##_latency.own(), 0.50);     \
+  stats.outcome##_p99_seconds =                                   \
+      obs::histogram_quantile(outcome##_latency.own(), 0.99);
+  MADPIPE_SERVE_STATS(MADPIPE_SERVE_COUNT_SNAPSHOT,
+                      MADPIPE_SERVE_CACHE_SNAPSHOT,
+                      MADPIPE_SERVE_LATENCY_SNAPSHOT)
+#undef MADPIPE_SERVE_COUNT_SNAPSHOT
+#undef MADPIPE_SERVE_CACHE_SNAPSHOT
+#undef MADPIPE_SERVE_LATENCY_SNAPSHOT
+  return stats;
 }
 
-LatencyRecorder::LatencyRecorder(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
-
-void LatencyRecorder::record(double seconds) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++total_;
-  if (++pending_ < stride_) return;
-  pending_ = 0;
-  samples_.push_back(seconds);
-  if (samples_.size() >= capacity_) {
-    // Keep every other sample and double the stride: the retained set stays
-    // an unbiased systematic sample of the stream.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < samples_.size(); i += 2) {
-      samples_[kept++] = samples_[i];
-    }
-    samples_.resize(kept);
-    stride_ *= 2;
-  }
+void ServeCounters::mirror(const PlanCacheCounters& cache) {
+#define MADPIPE_SERVE_SKIP(...)
+#define MADPIPE_SERVE_CACHE_MIRROR(field, member, metric, help) \
+  field.set(static_cast<double>(cache.member));
+  MADPIPE_SERVE_STATS(MADPIPE_SERVE_SKIP, MADPIPE_SERVE_CACHE_MIRROR,
+                      MADPIPE_SERVE_SKIP)
+#undef MADPIPE_SERVE_SKIP
+#undef MADPIPE_SERVE_CACHE_MIRROR
 }
 
-double LatencyRecorder::percentile(double q) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (samples_.empty()) return 0.0;
-  return stats::percentile(samples_, q);
-}
-
-long long LatencyRecorder::count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return total_;
+void ServeCounters::refresh_hit_rate() {
+  const long long total = requests.total();
+  if (total <= 0) return;
+  hit_rate.set(static_cast<double>(hits.total()) /
+               static_cast<double>(total));
 }
 
 }  // namespace madpipe::serve

@@ -16,15 +16,6 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Refresh the derived madpipe_serve_hit_rate gauge. Caller holds no lock:
-/// the counters are monotonic registry atomics.
-void refresh_hit_rate() {
-  ServeMetrics& metrics = serve_metrics();
-  const long long requests = metrics.requests.value();
-  if (requests <= 0) return;
-  metrics.hit_rate.set(static_cast<double>(metrics.hits.value()) /
-                       static_cast<double>(requests));
-}
 }  // namespace
 
 const char* to_string(ResponseStatus status) noexcept {
@@ -50,9 +41,7 @@ const char* to_string(CacheOutcome outcome) noexcept {
 
 PlanService::PlanService(const ServiceOptions& options)
     : options_(options), cache_(options.cache) {
-  // Materialize the serve metrics (including the live queue-depth gauge)
-  // up front so a /metrics scrape sees them before the first request.
-  serve_metrics().queue_depth.set(0.0);
+  counters_.queue_depth.set(0.0);
   std::size_t workers = options.workers;
   if (workers == 0) workers = par::default_workers();
   workers_.reserve(workers);
@@ -85,13 +74,8 @@ PlanService::~PlanService() {
   }
   work_available_.notify_all();
   for (Job& job : cancelled) {
-    {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      counters_.shutdowns +=
-          static_cast<long long>(job.pending->waiters.size());
-    }
     for (std::unique_ptr<Waiter>& waiter : job.pending->waiters) {
-      serve_metrics().shutdowns.increment();
+      counters_.shutdowns.add();
       PlanResponse response;
       response.id = waiter->id;
       response.trace_id = waiter->trace_id;
@@ -106,7 +90,7 @@ PlanService::~PlanService() {
       deliver(*waiter, std::move(response));
     }
   }
-  serve_metrics().queue_depth.set(0.0);
+  counters_.queue_depth.set(0.0);
   for (std::thread& worker : workers_) worker.join();
 }
 
@@ -165,11 +149,7 @@ void PlanService::submit_impl(PlanRequest request,
   const double cache_seconds = seconds_since(submitted);
   const double admission_seconds =
       static_cast<double>(obs::now_ns() - request.ingress_ns) * 1e-9;
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++counters_.requests;
-  }
-  serve_metrics().requests.increment();
+  counters_.requests.add();
   waiter->id = request.id;
   waiter->trace_id = request.trace_id;
   waiter->cache_seconds = cache_seconds;
@@ -192,10 +172,7 @@ void PlanService::submit_impl(PlanRequest request,
         // canonical plan and rescaling: the units are powers of two).
         response.explain = report::build_explain_summary(
             *response.plan, request.chain, request.platform);
-        serve_metrics().schedule_utilization.set(
-            response.explain->mean_gpu_utilization);
-        serve_metrics().memory_headroom_bytes.set(
-            response.explain->memory_headroom_bytes);
+        report::publish_quality(*response.explain);
       }
     } else {
       response.status = ResponseStatus::Infeasible;
@@ -204,21 +181,15 @@ void PlanService::submit_impl(PlanRequest request,
     if (request.report_timings) {
       response.phases = PhaseTimings{cache_seconds, 0.0, 0.0};
     }
-    hit_latency_.record(response.latency_seconds);
-    serve_metrics().hit_latency.observe(response.latency_seconds);
-    serve_metrics().hits.increment();
-    {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++counters_.hits;
-      if (canonical.time_unit != hit.creator_time_unit ||
-          canonical.byte_unit != hit.creator_byte_unit) {
-        // The entry was created by a request in different (power-of-two
-        // related) units: the cache is being shared across a rescale.
-        ++counters_.scaled_hits;
-        serve_metrics().scaled_hits.increment();
-      }
+    counters_.hit_latency.observe(response.latency_seconds);
+    counters_.hits.add();
+    if (canonical.time_unit != hit.creator_time_unit ||
+        canonical.byte_unit != hit.creator_byte_unit) {
+      // The entry was created by a request in different (power-of-two
+      // related) units: the cache is being shared across a rescale.
+      counters_.scaled_hits.add();
     }
-    refresh_hit_rate();
+    counters_.refresh_hit_rate();
     waiter->outcome = CacheOutcome::Hit;
     span.reset();  // close serve_submit so the sampled tree includes it
     sample_completion(*waiter, response,
@@ -229,6 +200,8 @@ void PlanService::submit_impl(PlanRequest request,
     complete_hit(*cached);
     return;
   }
+  // A missed probe may have expired an entry or met a key collision.
+  mirror_cache();
 
   waiter->time_unit = canonical.time_unit;
   waiter->byte_unit = canonical.byte_unit;
@@ -244,9 +217,7 @@ void PlanService::submit_impl(PlanRequest request,
         pending->waiters.push_back(std::move(waiter));
         lock.unlock();
         span->arg("outcome", static_cast<long long>(CacheOutcome::Coalesced));
-        serve_metrics().coalesced.increment();
-        const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-        ++counters_.coalesced;
+        counters_.coalesced.add();
         return;
       }
     }
@@ -275,12 +246,8 @@ void PlanService::submit_impl(PlanRequest request,
       if (request.report_timings) {
         response.phases = PhaseTimings{cache_seconds, 0.0, 0.0};
       }
-      serve_metrics().rejected.increment();
-      {
-        const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-        ++counters_.rejected;
-      }
-      refresh_hit_rate();
+      counters_.rejected.add();
+      counters_.refresh_hit_rate();
       waiter->outcome = CacheOutcome::None;
       span.reset();
       sample_completion(*waiter, response,
@@ -301,7 +268,7 @@ void PlanService::submit_impl(PlanRequest request,
     queue_.push_back(Job{std::move(pending), std::move(canonical),
                          planner_options(request), deadline, submitted,
                          obs::now_ns(), request.trace_id});
-    serve_metrics().queue_depth.set(static_cast<double>(queue_.size()));
+    counters_.queue_depth.set(static_cast<double>(queue_.size()));
   }
   work_available_.notify_one();
 }
@@ -320,7 +287,7 @@ void PlanService::worker_loop() {
       if (queue_.empty()) return;
       job.emplace(std::move(queue_.front()));
       queue_.pop_front();
-      serve_metrics().queue_depth.set(static_cast<double>(queue_.size()));
+      counters_.queue_depth.set(static_cast<double>(queue_.size()));
     }
     run_job(*job);
   }
@@ -373,11 +340,7 @@ void PlanService::run_job(Job& job) {
   bool degraded = false;
   std::string error;
   try {
-    {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++counters_.planner_runs;
-    }
-    serve_metrics().planner_runs.increment();
+    counters_.planner_runs.add();
     std::optional<Plan> plan =
         plan_madpipe(job.canonical.chain, job.canonical.platform, job.options);
     cached.creator_time_unit = job.canonical.time_unit;
@@ -394,7 +357,10 @@ void PlanService::run_job(Job& job) {
     }
     // Degraded results are never cached: the next request (with a healthier
     // deadline) must get the chance to compute the real plan.
-    if (!degraded) cache_.insert(job.canonical, cached);
+    if (!degraded) {
+      cache_.insert(job.canonical, cached);
+      mirror_cache();
+    }
   } catch (const std::exception& exception) {
     status = ResponseStatus::Error;
     error = exception.what();
@@ -432,16 +398,10 @@ void PlanService::run_job(Job& job) {
 
   // Count the miss before fulfilling: a caller woken by its future must see
   // a stats snapshot that already includes its own request.
-  serve_metrics().misses.increment();
-  if (degraded) serve_metrics().degraded.increment();
-  if (status == ResponseStatus::Error) serve_metrics().errors.increment();
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++counters_.misses;
-    if (degraded) ++counters_.degraded;
-    if (status == ResponseStatus::Error) ++counters_.errors;
-  }
-  refresh_hit_rate();
+  counters_.misses.add();
+  if (degraded) counters_.degraded.add();
+  if (status == ResponseStatus::Error) counters_.errors.add();
+  counters_.refresh_hit_rate();
 
   fulfill(*job.pending, cached, status, degraded, error, timings,
           canonical_summary);
@@ -464,10 +424,7 @@ void PlanService::fulfill(
       if (waiter->report_explain && canonical_summary.has_value()) {
         response.explain = report::scale_summary(
             *canonical_summary, waiter->time_unit, waiter->byte_unit);
-        serve_metrics().schedule_utilization.set(
-            response.explain->mean_gpu_utilization);
-        serve_metrics().memory_headroom_bytes.set(
-            response.explain->memory_headroom_bytes);
+        report::publish_quality(*response.explain);
       }
     }
     response.latency_seconds = seconds_since(waiter->submitted);
@@ -475,8 +432,7 @@ void PlanService::fulfill(
       response.phases = timings;
       response.phases->cache_seconds = waiter->cache_seconds;
     }
-    miss_latency_.record(response.latency_seconds);
-    serve_metrics().miss_latency.observe(response.latency_seconds);
+    counters_.miss_latency.observe(response.latency_seconds);
     PhaseTimings waiter_timings = timings;
     waiter_timings.cache_seconds = waiter->cache_seconds;
     sample_completion(*waiter, response, waiter_timings);
@@ -506,32 +462,10 @@ void PlanService::sample_completion(const Waiter& waiter,
   obs::tail_sampler().end(std::move(done));
 }
 
+void PlanService::mirror_cache() { counters_.mirror(cache_.counters()); }
+
 ServeStats PlanService::stats() const {
-  ServeStats snapshot;
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    snapshot = counters_;
-  }
-  const PlanCacheCounters cache = cache_.counters();
-  snapshot.evictions = cache.evictions;
-  snapshot.expirations = cache.expirations;
-  snapshot.key_collisions = cache.key_collisions;
-  snapshot.cache_entries = cache.entries;
-  snapshot.cache_bytes = cache.bytes;
-  // Refresh the registry's cache gauges from this snapshot (gauges, not
-  // counters: cache state is point-in-time and owned by cache_, not summed
-  // across services).
-  ServeMetrics& metrics = serve_metrics();
-  metrics.evictions.set(static_cast<double>(cache.evictions));
-  metrics.expirations.set(static_cast<double>(cache.expirations));
-  metrics.key_collisions.set(static_cast<double>(cache.key_collisions));
-  metrics.cache_entries.set(static_cast<double>(cache.entries));
-  metrics.cache_bytes.set(static_cast<double>(cache.bytes));
-  snapshot.hit_p50_seconds = hit_latency_.percentile(0.50);
-  snapshot.hit_p99_seconds = hit_latency_.percentile(0.99);
-  snapshot.miss_p50_seconds = miss_latency_.percentile(0.50);
-  snapshot.miss_p99_seconds = miss_latency_.percentile(0.99);
-  return snapshot;
+  return counters_.snapshot(cache_.counters());
 }
 
 }  // namespace madpipe::serve

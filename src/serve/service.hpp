@@ -139,8 +139,14 @@ class PlanService {
   std::size_t worker_count() const { return workers_.size(); }
   std::size_t queue_capacity() const { return options_.queue_capacity; }
 
+  /// This service's counters (the registry holds the sum over services).
   ServeStats stats() const;
   PlanCacheCounters cache_counters() const { return cache_.counters(); }
+
+  /// Set the registry's madpipe_serve_cache_* gauges from cache(). The
+  /// service calls it whenever it changes its cache; a caller that changes
+  /// cache() directly (a snapshot load) calls it afterwards.
+  void mirror_cache();
 
   ShardedPlanCache& cache() { return cache_; }
   const ShardedPlanCache& cache() const { return cache_; }
@@ -211,12 +217,9 @@ class PlanService {
   bool stop_ = false;
   std::vector<std::thread> workers_;
 
-  // Counters (monotonic; mutex-free fast path would be overkill here — every
-  // bump is adjacent to a planning run or a cache probe).
-  mutable std::mutex stats_mutex_;
-  ServeStats counters_;
-  LatencyRecorder hit_latency_;
-  LatencyRecorder miss_latency_;
+  /// This service's counters and latency histograms; each bump also adds
+  /// to the process-wide registry.
+  ServeCounters counters_;
 };
 
 }  // namespace madpipe::serve

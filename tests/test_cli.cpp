@@ -12,6 +12,7 @@
 #include <string>
 
 #include "explain_check.hpp"
+#include "madpipe/planner_stats.hpp"
 #include "models/profile_io.hpp"
 #include "models/zoo.hpp"
 #include "util/json.hpp"
@@ -95,6 +96,22 @@ TEST(Cli, PlanOnTinyProfileSucceeds) {
   EXPECT_EQ(run_cli("plan " + profile + " --gpus 2 --memory-gb 2", &output),
             0);
   EXPECT_NE(output.find("period"), std::string::npos) << output;
+  std::remove(profile.c_str());
+}
+
+// `madpipe planner` prints one row per PlannerStats table row, then the two
+// derived rates.
+TEST(Cli, PlannerPrintsEveryCounterRow) {
+  const std::string profile = write_tiny_profile();
+  std::string output;
+  EXPECT_EQ(run_cli("planner " + profile + " --gpus 2 --memory-gb 2", &output),
+            0);
+#define EXPECT_PLANNER_ROW(kind, field, metric, help) \
+  EXPECT_NE(output.find("\n  " #field " "), std::string::npos) << #field;
+  MADPIPE_PLANNER_STATS(EXPECT_PLANNER_ROW)
+#undef EXPECT_PLANNER_ROW
+  EXPECT_NE(output.find("\n  states/s "), std::string::npos) << output;
+  EXPECT_NE(output.find("\n  transition hit "), std::string::npos) << output;
   std::remove(profile.c_str());
 }
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "models/profile_io.hpp"
+#include "obs/metrics.hpp"
 #include "obs/tail_sampler.hpp"
 #include "obs/trace.hpp"
 #include "serve/net/admin.hpp"
@@ -251,6 +252,9 @@ TEST(ServeNet, OversizedFrameClosesConnection) {
   Harness h(options);
   Client client(h.server.port());
   ASSERT_TRUE(client.ok());
+  const obs::Counter& registry_oversized =
+      obs::Registry::global().counter("madpipe_net_oversized_total");
+  const long long oversized_before = registry_oversized.value();
 
   ASSERT_TRUE(client.send(std::string(2048, 'x')));
   std::string line;
@@ -259,6 +263,7 @@ TEST(ServeNet, OversizedFrameClosesConnection) {
   // After the error line the server closes: the next read sees EOF.
   EXPECT_FALSE(client.recv(line));
   EXPECT_EQ(h.server.stats().oversized, 1);
+  EXPECT_EQ(registry_oversized.value() - oversized_before, 1);
 }
 
 TEST(ServeNet, SlowClientByteByByteStillGetsServed) {

@@ -14,6 +14,7 @@
 
 #include "madpipe/planner.hpp"
 #include "models/zoo.hpp"
+#include "obs/metrics.hpp"
 #include "util/stats.hpp"
 
 namespace madpipe::serve {
@@ -461,6 +462,21 @@ TEST(ServeService, StatsSnapshotIsCoherent) {
   EXPECT_GT(stats.cache_bytes, 0);
   EXPECT_GT(stats.miss_p50_seconds, 0.0);
   EXPECT_GT(stats.hit_p50_seconds, 0.0);
+}
+
+// The cache gauges on /metrics follow the cache as the service changes it:
+// `madpipe serve --listen` never calls stats(), so a planned, cached miss
+// must show up without one.
+TEST(ServeService, CacheGaugesFollowAMissWithoutAStatsCall) {
+  PlanService service;
+  ASSERT_EQ(service.plan(make_request("gauge")).cache, CacheOutcome::Miss);
+  const std::string text = obs::Registry::global().text();
+  EXPECT_NE(text.find("\nmadpipe_serve_cache_entries 1\n"), std::string::npos)
+      << text;
+  const PlanCacheCounters cache = service.cache_counters();
+  EXPECT_NE(text.find("\nmadpipe_serve_cache_bytes " +
+                      std::to_string(cache.bytes) + "\n"),
+            std::string::npos);
 }
 
 }  // namespace

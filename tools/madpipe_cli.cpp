@@ -659,6 +659,16 @@ int cmd_plan(const Args& args, bool simulate) {
   return 0;
 }
 
+void print_counter_row(obs::Sum, const char* name, long long value) {
+  std::printf("  %-26s %lld\n", name, value);
+}
+void print_counter_row(obs::Max, const char* name, double value) {
+  std::printf("  %-26s %.3f\n", name, value);
+}
+void print_counter_row(obs::Wall, const char* name, double value) {
+  std::printf("  %-26s %s\n", name, fmt::seconds(value).c_str());
+}
+
 int cmd_planner(const Args& args) {
   if (args.positional.empty()) usage("planner needs a profile file");
   const ObsSinks sinks(args);
@@ -679,39 +689,23 @@ int cmd_planner(const Args& args) {
   }
   std::printf("%s", plan_to_string(*plan, chain, platform).c_str());
 
+  // One row per counter-table row, then the two derived rates.
   const PlannerStats& stats = plan->stats;
   std::printf("planner counters:\n");
-  std::printf("  dp probes          %lld (%lld consumed by phase 1)\n",
-              stats.dp_probes, stats.phase1_probes);
-  std::printf("  dp states          %lld (%lld visits, %.0f states/s)\n",
-              stats.dp_states, stats.dp_state_visits,
+#define MADPIPE_PLANNER_ROW(kind, field, metric, help) \
+  print_counter_row(obs::kind{}, #field, stats.field);
+  MADPIPE_PLANNER_STATS(MADPIPE_PLANNER_ROW)
+#undef MADPIPE_PLANNER_ROW
+  std::printf("  %-26s %.0f\n", "states/s",
               stats.phase1_wall_seconds > 0.0
                   ? static_cast<double>(stats.dp_states) /
                         stats.phase1_wall_seconds
                   : 0.0);
-  std::printf("  memo probes        %lld per-state, %lld child lookups "
-              "(%lld hits)\n",
-              stats.memo_probes, stats.memo_child_lookups, stats.memo_hits);
-  std::printf("  memo load factor   %.3f max (%lld rehashes, %lld avoided)\n",
-              stats.memo_max_load_factor, stats.memo_rehashes,
-              stats.memo_rehashes_avoided);
-  std::printf("  transition panels  %lld lookups, %lld hits (%.1f%%)\n",
-              stats.transition_lookups, stats.transition_hits,
+  std::printf("  %-26s %.1f%%\n", "transition hit",
               stats.transition_lookups > 0
                   ? 100.0 * static_cast<double>(stats.transition_hits) /
                         static_cast<double>(stats.transition_lookups)
                   : 0.0);
-  std::printf("  spec (phase 1)     %lld extra probes, %lld hits\n",
-              stats.speculative_probes, stats.speculative_hits);
-  std::printf("  phase 2 probes     %lld (%lld hit the node budget)\n",
-              stats.phase2_probes, stats.phase2_budget_hits);
-  std::printf("  spec (phase 2)     %lld extra probes, %lld hits\n",
-              stats.phase2_speculative_probes, stats.phase2_speculative_hits);
-  std::printf("  state budget hits  %lld\n", stats.state_budget_hits);
-  std::printf("  phase 1 wall       %s\n",
-              fmt::seconds(stats.phase1_wall_seconds).c_str());
-  std::printf("  phase 2 wall       %s\n",
-              fmt::seconds(stats.phase2_wall_seconds).c_str());
   return 0;
 }
 
@@ -738,10 +732,7 @@ int cmd_explain(const Args& args) {
   const report::PlanReport rep =
       report::build_plan_report(*plan, plan_chain, platform, options);
   const report::ExplainSummary summary = report::summarize(rep);
-  serve::serve_metrics().schedule_utilization.set(
-      summary.mean_gpu_utilization);
-  serve::serve_metrics().memory_headroom_bytes.set(
-      summary.memory_headroom_bytes);
+  report::publish_quality(summary);
   std::printf("%s", report::plan_report_to_string(rep).c_str());
 
   if (!args.json_path.empty()) {
@@ -832,6 +823,7 @@ void serve_cache_load(serve::PlanService& service, const std::string& path) {
                  path.c_str(), result.error.c_str());
     return;
   }
+  service.mirror_cache();
   std::fprintf(stderr, "cache warm-up: %zu entries loaded from %s",
                result.loaded, path.c_str());
   if (result.rejected > 0) {
