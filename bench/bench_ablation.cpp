@@ -34,7 +34,7 @@ void ablate_special_and_grids() {
         config.processors = processors;
         config.memory_gb = memory;
         config.madpipe.phase1.dp.grid = grid;
-        config.madpipe.disable_special_processor = !special;
+        config.madpipe.phase1.dp.allow_special = special;
         return run_cell(config);
       };
       const CellResult paper_grid = run(true, Discretization::paper());

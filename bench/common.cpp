@@ -70,7 +70,7 @@ CellResult run_cell(const CellConfig& config) {
       to_outcome(plan_madpipe(chain, platform, config.madpipe), chain, platform);
   if (config.run_contiguous_ablation) {
     MadPipeOptions contiguous = config.madpipe;
-    contiguous.disable_special_processor = true;
+    contiguous.phase1.dp.allow_special = false;
     result.madpipe_contiguous =
         to_outcome(plan_madpipe(chain, platform, contiguous), chain, platform);
   }

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     const auto madpipe_plan = plan_madpipe(chain, platform, madpipe_options);
 
     MadPipeOptions contiguous_options;
-    contiguous_options.disable_special_processor = true;
+    contiguous_options.phase1.dp.allow_special = false;
     const auto contiguous = plan_madpipe(chain, platform, contiguous_options);
 
     table.add_row({fmt::bytes(memory_gb * GB), describe(pipedream, chain),

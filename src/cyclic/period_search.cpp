@@ -73,8 +73,7 @@ PeriodSearchResult find_min_period(const Allocation& allocation,
   Seconds lb = std::max(problem.min_period, lower_hint);
   Seconds ub = std::max(problem.serial_period, lb);
 
-  par::SpeculativeBisection<PeriodNode, BBResult> runner(options.speculation,
-                                                         options.workers);
+  par::SpeculativeBisection<PeriodNode, BBResult> runner(options.speculation);
   const auto children = [&](const PeriodNode& node,
                             std::vector<PeriodNode>& out) {
     period_children(node, options, out);

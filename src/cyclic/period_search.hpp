@@ -23,8 +23,6 @@ struct PeriodSearchOptions {
   /// bit-identical to the sequential search for every W. 0 = auto
   /// (min(4, hardware threads)); 1 = sequential.
   int speculation = 0;
-  /// Worker threads for speculative probes; 0 = one per in-flight probe.
-  std::size_t workers = 0;
 };
 
 struct PeriodSearchResult {

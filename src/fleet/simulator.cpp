@@ -125,20 +125,20 @@ FleetResult FleetSimulator::run() {
     return it->second;
   };
 
-  CalendarQueue calendar(options_.queue);
+  EventQueue events;
   for (std::size_t i = 0; i < trace_.jobs.size(); ++i) {
     Event event;
     event.time = trace_.jobs[i].arrival_s;
     event.kind = EventKind::JobArrival;
     event.job = static_cast<std::int32_t>(i);
-    calendar.push(event);
+    events.push(event);
   }
   for (const PoolEvent& pool_event : trace_.pool_events) {
     Event event;
     event.time = pool_event.time_s;
     event.kind = EventKind::PoolResize;
     event.arg = pool_event.gpus;
-    calendar.push(event);
+    events.push(event);
   }
 
   std::vector<RunJob> jobs(trace_.jobs.size());
@@ -158,7 +158,7 @@ FleetResult FleetSimulator::run() {
   std::vector<double> wait_samples;
 
   const auto log_line = [&](std::string line) {
-    if (options_.record_event_log) result.event_log.push_back(std::move(line));
+    result.event_log.push_back(std::move(line));
   };
 
   const auto refresh_gauges = [&] {
@@ -259,7 +259,7 @@ FleetResult FleetSimulator::run() {
       completion.kind = EventKind::JobCompletion;
       completion.job = waiting.job;
       completion.arg = job.epoch;
-      calendar.push(completion);
+      events.push(completion);
 
       log_line(time_tag(now) + " place job=" + job.spec->id + " gpus=" +
                std::to_string(job.width) + " cache=" +
@@ -270,13 +270,13 @@ FleetResult FleetSimulator::run() {
     }
   };
 
-  while (!calendar.empty()) {
-    const Event event = calendar.pop();
+  while (!events.empty()) {
+    const Event event = events.pop();
     obs::Span span("fleet_dispatch", obs::kCatFleet);
     span.arg("kind", static_cast<long long>(event.kind));
     // Utilization integrals advance on every dispatch.
     const double dt = event.time - last_time;
-    MP_ASSERT(dt >= 0.0, "calendar popped events out of order");
+    MP_ASSERT(dt >= 0.0, "event queue popped events out of order");
     result.busy_gpu_seconds += static_cast<double>(in_use) * dt;
     result.capacity_gpu_seconds += static_cast<double>(capacity) * dt;
     last_time = event.time;
@@ -388,8 +388,6 @@ FleetResult FleetSimulator::run() {
           ? static_cast<double>(result.cache_hits) /
                 static_cast<double>(result.plans_requested)
           : 0.0;
-  result.far_inserts = calendar.far_inserts();
-  result.refills = calendar.refills();
 
   result.jobs.reserve(jobs.size());
   for (const RunJob& job : jobs) {
@@ -500,10 +498,6 @@ std::string fleet_result_to_json(const FleetResult& result,
   w.value(result.events_dispatched);
   w.key("stale_events");
   w.value(result.stale_events);
-  w.key("far_inserts");
-  w.value(static_cast<long long>(result.far_inserts));
-  w.key("refills");
-  w.value(static_cast<long long>(result.refills));
   w.end_object();
   w.key("jobs");
   w.begin_array();
@@ -574,11 +568,7 @@ std::string fleet_result_report(const FleetResult& result) {
            std::to_string(result.deadlines_missed) + " missed\n";
   }
   out += "  engine: " + std::to_string(result.events_dispatched) +
-         " events (" + std::to_string(result.stale_events) + " stale), " +
-         std::to_string(static_cast<long long>(result.far_inserts)) +
-         " far inserts, " +
-         std::to_string(static_cast<long long>(result.refills)) +
-         " refills\n";
+         " events (" + std::to_string(result.stale_events) + " stale)\n";
   char hash_buf[24];
   std::snprintf(hash_buf, sizeof hash_buf, "%016llx",
                 static_cast<unsigned long long>(result.event_log_hash));

@@ -1,6 +1,6 @@
 // FleetSimulator: discrete-event execution of a fleet trace.
 //
-// One single-threaded event loop (ROADMAP item 3) over a CalendarQueue:
+// One single-threaded event loop (ROADMAP item 3) over an EventQueue:
 // job arrivals enter a wait queue, the placement policy admits jobs against
 // the elastic GPU pool, each placement obtains a real plan from the
 // existing serve::PlanService — exercising the plan cache exactly as a
@@ -30,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "fleet/calendar_queue.hpp"
+#include "fleet/event_queue.hpp"
 #include "fleet/policy.hpp"
 #include "fleet/trace.hpp"
 #include "serve/service.hpp"
@@ -41,8 +41,6 @@ inline constexpr const char* kFleetReportSchema = "madpipe-fleet-report-v1";
 
 struct FleetOptions {
   std::string policy = "fifo";
-  CalendarQueueOptions queue;
-  bool record_event_log = true;  ///< keep the full per-event text log
 };
 
 /// Per-job outcome, in trace order.
@@ -98,8 +96,6 @@ struct FleetResult {
   // Engine counters.
   long long events_dispatched = 0;
   long long stale_events = 0;  ///< completions invalidated by preemption
-  std::uint64_t far_inserts = 0;
-  std::uint64_t refills = 0;
 
   std::vector<JobOutcome> jobs;
 

@@ -47,7 +47,8 @@ struct MadPipeDPOptions {
   DelayCommVariant delay_comm_variant = DelayCommVariant::BoundaryConsistent;
   /// When false, the special processor is removed and all P processors are
   /// normal — MadPipe degrades to a memory-aware *contiguous* partitioner
-  /// (the ablation of DESIGN.md).
+  /// (the ablation of DESIGN.md); plan_madpipe then names its plan
+  /// "madpipe-contig".
   bool allow_special = true;
   /// Abort (treat as infeasible) past this many memoized states; a safety
   /// valve for extreme grids, never hit with the presets.

@@ -47,9 +47,6 @@ std::optional<Plan> plan_madpipe(const Chain& chain, const Platform& platform,
   const auto start_time = std::chrono::steady_clock::now();
 
   Phase1Options phase1_options = options.phase1;
-  if (options.disable_special_processor) {
-    phase1_options.dp.allow_special = false;
-  }
   if (options.schedule_best_of > 1) {
     phase1_options.keep_iterate_allocations = true;
   }
@@ -87,10 +84,6 @@ std::optional<Plan> plan_madpipe(const Chain& chain, const Platform& platform,
   // period in candidate order) is the one the sequential loop would pick.
   std::vector<std::optional<Plan>> plans(candidates.size());
   std::vector<PlannerStats> phase2_stats(candidates.size());
-  const std::size_t workers =
-      options.workers != 0
-          ? std::min<std::size_t>(options.workers, candidates.size())
-          : candidates.size();
   par::parallel_for(
       0, candidates.size(),
       [&](std::size_t i) {
@@ -98,7 +91,7 @@ std::optional<Plan> plan_madpipe(const Chain& chain, const Platform& platform,
                                        candidates[i].first, options.phase2,
                                        phase2_stats[i]);
       },
-      workers);
+      candidates.size());
 
   PlannerStats stats = phase1.stats;
   std::optional<Plan> best;
@@ -114,8 +107,8 @@ std::optional<Plan> plan_madpipe(const Chain& chain, const Platform& platform,
     return std::nullopt;
   }
 
-  best->planner = options.disable_special_processor ? "madpipe-contig"
-                                                    : "madpipe";
+  best->planner =
+      options.phase1.dp.allow_special ? "madpipe" : "madpipe-contig";
   best->phase1_period = phase1.period;
   best->planning_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -22,20 +22,13 @@ namespace madpipe {
 struct MadPipeOptions {
   Phase1Options phase1;
   PeriodSearchOptions phase2;
-  /// Forbid the special processor (every transition must use a normal
-  /// processor): an ablation that reduces MadPipe to "memory-aware
-  /// contiguous" planning.
-  bool disable_special_processor = false;
   /// Extension (not in the paper, ablated in bench_ablation): schedule the
   /// best `schedule_best_of` *distinct* phase-1 iterate allocations and keep
   /// the smallest real period, instead of only the iterate with the best
-  /// phase-1 estimate. 1 = the paper's behaviour.
+  /// phase-1 estimate. 1 = the paper's behaviour. The candidates' period
+  /// searches run concurrently, one lane per candidate; the winner is
+  /// picked by the same deterministic rule as a sequential loop.
   int schedule_best_of = 1;
-  /// Worker threads for scheduling the schedule_best_of candidates
-  /// concurrently (each candidate's period search is independent; the
-  /// winner is picked by the same deterministic rule as the sequential
-  /// loop). 0 = one per candidate.
-  std::size_t workers = 0;
 };
 
 /// Plan `chain` on `platform` with MadPipe. Returns nullopt when no

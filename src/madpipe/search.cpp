@@ -71,7 +71,7 @@ Phase1Result madpipe_phase1(const Chain& chain, const Platform& platform,
   result.period = std::numeric_limits<double>::infinity();
 
   par::SpeculativeBisection<Phase1Node, MadPipeDPResult> runner(
-      options.speculation, options.workers);
+      options.speculation);
   const auto children = [&](const Phase1Node& node,
                             std::vector<Phase1Node>& out) {
     phase1_children(node, options.iterations, out);

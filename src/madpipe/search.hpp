@@ -36,8 +36,6 @@ struct Phase1Options {
   /// probes are discarded). 0 = auto (min(4, hardware threads)); 1 =
   /// sequential.
   int speculation = 0;
-  /// Worker threads for speculative probes; 0 = one per in-flight probe.
-  std::size_t workers = 0;
 };
 
 struct Phase1Iteration {

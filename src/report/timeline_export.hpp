@@ -3,11 +3,11 @@
 // the steady pattern, F/B/comm events colored by stage and annotated with
 // the mini-batch index. Load the output in chrome://tracing or Perfetto.
 //
-// This is the resource-centric companion of sim/trace.cpp's
-// pattern_to_chrome_trace (which puts all resources in one process as
-// threads); per-resource processes give each GPU and link its own group and
-// make per-GPU bubble gaps visually obvious. Both exporters share the JSON
-// emission helpers in obs/trace.hpp.
+// This is the one pattern exporter: `madpipe plan --trace`,
+// `madpipe explain --timeline-out` and the committed example timeline all
+// come from it. Per-resource processes give each GPU and link its own group
+// and make per-GPU bubble gaps visually obvious. The JSON emission helpers
+// are shared with the span tracer in obs/trace.hpp.
 #pragma once
 
 #include <string>

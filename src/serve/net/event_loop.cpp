@@ -5,13 +5,24 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
 namespace madpipe::serve::net {
 
-EventLoop::EventLoop(const EventLoopOptions& options)
-    : edge_triggered_(options.edge_triggered) {
+namespace {
+
+std::uint32_t flags_for(bool want_read, bool want_write) noexcept {
+  std::uint32_t flags = EPOLLRDHUP;
+  if (want_read) flags |= EPOLLIN;
+  if (want_write) flags |= EPOLLOUT;
+  return flags;
+}
+
+}  // namespace
+
+EventLoop::EventLoop() {
   epoll_.reset(::epoll_create1(0));
   if (!epoll_.valid()) {
     throw std::runtime_error(std::string("epoll_create1(): ") +
@@ -29,15 +40,6 @@ EventLoop::EventLoop(const EventLoopOptions& options)
     throw std::runtime_error(std::string("epoll_ctl(wake): ") +
                              std::strerror(errno));
   }
-}
-
-std::uint32_t EventLoop::flags_for(bool want_read,
-                                   bool want_write) const noexcept {
-  std::uint32_t flags = EPOLLRDHUP;
-  if (want_read) flags |= EPOLLIN;
-  if (want_write) flags |= EPOLLOUT;
-  if (edge_triggered_) flags |= EPOLLET;
-  return flags;
 }
 
 void EventLoop::add(int fd, bool want_write) {

@@ -1,22 +1,13 @@
-// A small epoll wrapper: fd registration, one-shot waits, and a thread-safe
-// wake() (eventfd) so other threads can interrupt a blocking wait.
-//
-// Level-triggered by default. The server's read/write paths always drain
-// until EAGAIN, so edge-triggered mode (EventLoopOptions::edge_triggered)
-// is also correct — it is exposed for benchmarking the wakeup-rate
-// difference, not as a behavioral switch.
+// A small level-triggered epoll wrapper: fd registration, one-shot waits,
+// and a thread-safe wake() (eventfd) so other threads can interrupt a
+// blocking wait.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "util/net.hpp"
 
 namespace madpipe::serve::net {
-
-struct EventLoopOptions {
-  bool edge_triggered = false;
-};
 
 struct Event {
   int fd = -1;
@@ -27,7 +18,7 @@ struct Event {
 
 class EventLoop {
  public:
-  explicit EventLoop(const EventLoopOptions& options = {});
+  EventLoop();
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
@@ -52,11 +43,8 @@ class EventLoop {
   void wake() noexcept;
 
  private:
-  std::uint32_t flags_for(bool want_read, bool want_write) const noexcept;
-
   madpipe::net::FdGuard epoll_;
   madpipe::net::FdGuard wake_fd_;
-  bool edge_triggered_ = false;
 };
 
 }  // namespace madpipe::serve::net

@@ -125,8 +125,7 @@ struct NetServer::Impl {
   Impl(PlanService& svc, const NetServerOptions& opts)
       : service(svc),
         options(opts),
-        listener(opts.host, opts.port),
-        loop(EventLoopOptions{opts.edge_triggered}) {
+        listener(opts.host, opts.port) {
     if (options.shed_queue_depth == 0) {
       options.shed_queue_depth = service.queue_capacity();
     }

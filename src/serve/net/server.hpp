@@ -55,7 +55,6 @@ struct NetServerOptions {
   std::size_t shed_queue_depth = 0;
   /// Frame-parse/dispatch threads; 0 = hardware concurrency.
   std::size_t dispatch_workers = 0;
-  bool edge_triggered = false;  ///< epoll ET (read/write paths drain anyway)
 };
 
 // The counter table: X(field, registry name, help), one row per counter.

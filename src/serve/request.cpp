@@ -41,10 +41,10 @@ void append_int(std::string& out, long long v) {
   out += '|';
 }
 
-/// The result-determining option fields. Speculation widths and worker
-/// counts are deliberately left out: each is bit-identical by construction
-/// (enforced by the speculation-invariance tests), so requests differing
-/// only in those must share a cache entry.
+/// The result-determining option fields. Speculation widths are
+/// deliberately left out: results are bit-identical across widths by
+/// construction (enforced by the speculation-invariance tests), so requests
+/// differing only in those must share a cache entry.
 void append_options(std::string& out, const PlanRequest& request) {
   const MadPipeOptions& o = request.options;
   out += "plan=";
@@ -94,8 +94,9 @@ std::optional<PlannerKind> planner_kind_from_string(const std::string& name) {
 
 MadPipeOptions planner_options(const PlanRequest& request) {
   MadPipeOptions options = request.options;
-  options.disable_special_processor =
-      request.planner == PlannerKind::MadPipeContiguous;
+  if (request.planner == PlannerKind::MadPipeContiguous) {
+    options.phase1.dp.allow_special = false;
+  }
   return options;
 }
 

@@ -4,12 +4,9 @@
 #include <cmath>
 #include <map>
 #include <sstream>
-#include <vector>
 
-#include "obs/trace.hpp"
 #include "util/expect.hpp"
 #include "util/format.hpp"
-#include "util/json.hpp"
 
 namespace madpipe {
 
@@ -81,60 +78,6 @@ std::string render_gantt(const PeriodicPattern& pattern,
   (void)allocation;
   (void)chain;
   return os.str();
-}
-
-std::string pattern_to_chrome_trace(const PeriodicPattern& pattern,
-                                    const Allocation& allocation,
-                                    const Chain& chain, int periods) {
-  MP_EXPECT(periods >= 1, "need at least one period to export");
-  (void)chain;
-
-  // Stable row ids: processors first, links after.
-  std::map<ResourceId, int> row;
-  for (const PatternOp& op : pattern.ops) {
-    row.emplace(op.resource, 0);
-  }
-  int next = 0;
-  for (auto& [resource, id] : row) id = next++;
-
-  json::Writer w;
-  obs::begin_chrome_trace(w);
-
-  // Thread-name metadata so rows are labeled in the viewer.
-  for (const auto& [resource, id] : row) {
-    obs::write_trace_metadata(w, "thread_name", 0, id, resource.to_string());
-  }
-
-  const double to_us = 1e6;
-  for (int period = 0; period < periods; ++period) {
-    for (const PatternOp& op : pattern.ops) {
-      const long long batch = period - op.shift;
-      if (batch < 0) continue;  // before the pipeline filled
-      obs::begin_complete_event(
-          w,
-          std::string(to_string(op.kind)) + std::to_string(op.stage) + " b" +
-              std::to_string(batch),
-          op.kind == OpKind::Forward || op.kind == OpKind::Backward
-              ? "compute"
-              : "comm",
-          0, row.at(op.resource), (op.start + period * pattern.period) * to_us,
-          op.duration * to_us);
-      w.key("args");
-      w.begin_object();
-      w.key("batch");
-      w.value(batch);
-      w.key("stage");
-      w.value(op.stage);
-      w.key("shift");
-      w.value(op.shift);
-      w.key("processor");
-      w.value(allocation.processor_of(op.stage));
-      w.end_object();
-      w.end_object();
-    }
-  }
-  obs::end_chrome_trace(w);
-  return w.str();
 }
 
 }  // namespace madpipe

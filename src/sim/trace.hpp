@@ -23,12 +23,4 @@ std::string render_gantt(const PeriodicPattern& pattern,
                          const Allocation& allocation, const Chain& chain,
                          const GanttOptions& options = {});
 
-/// Export `periods` repetitions of the pattern as a Chrome trace-event JSON
-/// document (open in chrome://tracing or https://ui.perfetto.dev): one row
-/// per resource, one complete duration event per op instance, with the
-/// processed batch index as an argument. Times are microseconds.
-std::string pattern_to_chrome_trace(const PeriodicPattern& pattern,
-                                    const Allocation& allocation,
-                                    const Chain& chain, int periods = 4);
-
 }  // namespace madpipe

@@ -14,7 +14,7 @@
 // exact bit pattern of their point, so a result is only ever reused for a
 // point bit-identical to the one the sequential search would request:
 // mispredicted probes are simply never consumed, and consumed results match
-// a sequential run for every W and worker count.
+// a sequential run for every W.
 #pragma once
 
 #include <algorithm>
@@ -35,13 +35,11 @@ namespace madpipe::par {
 template <typename Node, typename Result>
 class SpeculativeBisection {
  public:
-  /// `speculation` is the width W (0 = auto: min(4, hardware threads));
-  /// `workers` caps the threads one batch runs on (0 = one per probe of the
-  /// batch).
-  SpeculativeBisection(int speculation, std::size_t workers)
+  /// `speculation` is the width W (0 = auto: min(4, hardware threads)).
+  /// A batch runs on one lane per probe.
+  explicit SpeculativeBisection(int speculation)
       : width_(speculation > 0 ? static_cast<std::size_t>(speculation)
-                               : std::min<std::size_t>(4, default_workers())),
-        workers_(workers) {}
+                               : std::min<std::size_t>(4, default_workers())) {}
 
   /// The result at `node.at`, launching a batch rooted at `node` on a cache
   /// miss. `children(node, out)` appends the nodes the search could demand
@@ -102,7 +100,7 @@ class SpeculativeBisection {
     std::vector<Result> results(batch.size());
     parallel_for(
         0, batch.size(), [&](std::size_t i) { results[i] = probe(batch[i]); },
-        workers_ != 0 ? std::min(workers_, batch.size()) : batch.size());
+        batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       index_.emplace(key(batch[i].at), results_.size());
       results_.push_back(std::move(results[i]));
@@ -111,7 +109,6 @@ class SpeculativeBisection {
   }
 
   const std::size_t width_;
-  const std::size_t workers_;
   std::deque<Result> results_;  ///< a deque keeps handed-out references valid
   std::unordered_map<std::uint64_t, std::size_t> index_;  ///< key → results_
   long long speculative_probes_ = 0;

@@ -1,14 +1,13 @@
-// CalendarQueue golden tests: the multi-scale engine must pop in exactly
-// the order a naive std::priority_queue over (time, seq) would — on
-// randomized streams that hit every structural path (same-timestamp ties,
-// far-future overflow past the coarse horizon, inserts during dispatch) —
-// and the whole dispatch sequence must be a pure function of the seed.
-#include "fleet/calendar_queue.hpp"
+// EventQueue contract tests: the fleet's event engine must pop in exactly
+// the order a linear scan for the minimum (time, seq) of the pending
+// events would — on randomized streams with same-timestamp ties,
+// far-future events and inserts during dispatch — and the whole dispatch
+// sequence must be a pure function of the seed.
+#include "fleet/event_queue.hpp"
 
 #include <gtest/gtest.h>
 
-#include <queue>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -16,21 +15,32 @@
 namespace madpipe::fleet {
 namespace {
 
-/// The reference: strictly-ordered (time, seq) min-heap. seq is assigned
-/// here in push order, mirroring what CalendarQueue::push does.
-class NaiveQueue {
+/// The reference: a flat list of pending (time, seq) pairs, popped by a
+/// linear scan for the minimum. It shares no code or data structure with
+/// the heap, and models the contract directly: seq is the push number and
+/// a push before the last popped time is clamped to it.
+class MinOfPending {
  public:
-  void push(double time, std::uint64_t seq) { heap_.push({time, seq}); }
-  bool empty() const { return heap_.empty(); }
+  void push(double time) {
+    pending_.push_back({time < now_ ? now_ : time, next_seq_++});
+  }
+  bool empty() const { return pending_.empty(); }
   std::pair<double, std::uint64_t> pop() {
-    auto top = heap_.top();
-    heap_.pop();
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < pending_.size(); ++i) {
+      if (pending_[i] < pending_[best]) best = i;
+    }
+    const auto top = pending_[best];
+    pending_[best] = pending_.back();
+    pending_.pop_back();
+    now_ = top.first;
     return top;
   }
 
  private:
-  using Key = std::pair<double, std::uint64_t>;
-  std::priority_queue<Key, std::vector<Key>, std::greater<Key>> heap_;
+  std::vector<std::pair<double, std::uint64_t>> pending_;
+  double now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
 };
 
 Event at(double time) {
@@ -41,50 +51,47 @@ Event at(double time) {
 
 /// Drain both queues together and require identical (time, seq) at every
 /// step. Assumes both already hold the same events.
-void expect_identical_drain(CalendarQueue& queue, NaiveQueue& naive) {
-  while (!naive.empty()) {
+void expect_identical_drain(EventQueue& queue, MinOfPending& oracle) {
+  while (!oracle.empty()) {
     ASSERT_FALSE(queue.empty());
     const Event event = queue.pop();
-    const auto [time, seq] = naive.pop();
+    const auto [time, seq] = oracle.pop();
     ASSERT_EQ(event.time, time);
     ASSERT_EQ(event.seq, seq);
   }
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(CalendarQueue, GoldenEquivalenceOnRandomizedStreams) {
+TEST(FleetEventQueue, GoldenEquivalenceOnRandomizedStreams) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     util::Rng rng(seed);
-    CalendarQueue queue;
-    NaiveQueue naive;
-    std::uint64_t seq = 0;
-    // Mixed spread: mostly near (within the fine window), some in the
-    // coarse window, a tail far beyond the coarse horizon (512*512/64 s
-    // = 4096 s), plus exact duplicates for the tie path.
+    EventQueue queue;
+    MinOfPending oracle;
+    // Mixed spread: mostly near, some minutes to an hour out, a tail far
+    // in the future, plus exact duplicates for the tie path.
     double last_time = 0.0;
     for (int i = 0; i < 4000; ++i) {
       double time;
       const double pick = rng.uniform();
       if (pick < 0.70) {
-        time = rng.uniform(0.0, 8.0);            // fine window
+        time = rng.uniform(0.0, 8.0);
       } else if (pick < 0.90) {
-        time = rng.uniform(8.0, 4000.0);         // coarse window
+        time = rng.uniform(8.0, 4000.0);
       } else if (pick < 0.97) {
-        time = rng.uniform(5000.0, 100'000.0);   // far list
+        time = rng.uniform(5000.0, 100'000.0);
       } else {
-        time = last_time;                        // exact tie
+        time = last_time;  // exact tie
       }
       last_time = time;
       queue.push(at(time));
-      naive.push(time, seq++);
+      oracle.push(time);
     }
-    EXPECT_GT(queue.far_inserts(), 0u) << "stream must exercise the far list";
-    expect_identical_drain(queue, naive);
+    expect_identical_drain(queue, oracle);
   }
 }
 
-TEST(CalendarQueue, SameTimestampTiesPopInInsertionOrder) {
-  CalendarQueue queue;
+TEST(FleetEventQueue, SameTimestampTiesPopInInsertionOrder) {
+  EventQueue queue;
   for (int i = 0; i < 100; ++i) queue.push(at(1.5));
   for (std::uint64_t expected = 0; expected < 100; ++expected) {
     const Event event = queue.pop();
@@ -93,24 +100,23 @@ TEST(CalendarQueue, SameTimestampTiesPopInInsertionOrder) {
   }
 }
 
-TEST(CalendarQueue, InsertDuringDispatchInterleavesCorrectly) {
+TEST(FleetEventQueue, InsertDuringDispatchInterleavesCorrectly) {
   // The simulator's shape: pop an event, schedule new ones (completions,
-  // re-placements) relative to `now`, keep popping. The reference heap
-  // sees the same interleaved pushes.
+  // re-placements) relative to `now`, keep popping. The oracle sees the
+  // same interleaved pushes.
   util::Rng rng(4242);
-  CalendarQueue queue;
-  NaiveQueue naive;
-  std::uint64_t seq = 0;
+  EventQueue queue;
+  MinOfPending oracle;
   for (int i = 0; i < 64; ++i) {
     const double time = rng.uniform(0.0, 4.0);
     queue.push(at(time));
-    naive.push(time, seq++);
+    oracle.push(time);
   }
   int dispatched = 0;
-  while (!naive.empty()) {
+  while (!oracle.empty()) {
     ASSERT_FALSE(queue.empty());
     const Event event = queue.pop();
-    const auto [time, gold_seq] = naive.pop();
+    const auto [time, gold_seq] = oracle.pop();
     ASSERT_EQ(event.time, time);
     ASSERT_EQ(event.seq, gold_seq);
     ++dispatched;
@@ -122,15 +128,15 @@ TEST(CalendarQueue, InsertDuringDispatchInterleavesCorrectly) {
                                : pick < 0.9 ? event.time + rng.exponential(2.0)
                                             : event.time + 10'000.0;
       queue.push(at(next_time));
-      naive.push(next_time, seq++);
+      oracle.push(next_time);
     }
   }
   EXPECT_TRUE(queue.empty());
   EXPECT_GT(dispatched, 64);
 }
 
-TEST(CalendarQueue, PastInsertsAreClampedToNowNotLost) {
-  CalendarQueue queue;
+TEST(FleetEventQueue, PastInsertsAreClampedToNowNotLost) {
+  EventQueue queue;
   queue.push(at(5.0));
   queue.push(at(10.0));
   EXPECT_EQ(queue.pop().time, 5.0);
@@ -143,28 +149,24 @@ TEST(CalendarQueue, PastInsertsAreClampedToNowNotLost) {
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(CalendarQueue, FarFutureOnlyStreamStillOrders) {
-  // Everything beyond the coarse horizon: the far list must re-bucket as
-  // the rings advance, not just dump in insertion order.
+TEST(FleetEventQueue, FarFutureOnlyStreamStillOrders) {
   util::Rng rng(77);
-  CalendarQueue queue;
-  NaiveQueue naive;
-  std::uint64_t seq = 0;
+  EventQueue queue;
+  MinOfPending oracle;
   for (int i = 0; i < 500; ++i) {
     const double time = rng.uniform(50'000.0, 1'000'000.0);
     queue.push(at(time));
-    naive.push(time, seq++);
+    oracle.push(time);
   }
-  EXPECT_EQ(queue.far_inserts(), 500u);
-  expect_identical_drain(queue, naive);
+  expect_identical_drain(queue, oracle);
 }
 
-TEST(CalendarQueue, DispatchSequenceIsAPureFunctionOfTheSeed) {
+TEST(FleetEventQueue, DispatchSequenceIsAPureFunctionOfTheSeed) {
   // Determinism property at the engine level: same seed -> bit-identical
   // (time, seq) dispatch sequence, including interleaved inserts.
   auto run = [](std::uint64_t seed) {
     util::Rng rng(seed);
-    CalendarQueue queue;
+    EventQueue queue;
     std::vector<std::pair<double, std::uint64_t>> dispatched;
     for (int i = 0; i < 256; ++i) queue.push(at(rng.exponential(3.0)));
     while (!queue.empty()) {
@@ -181,16 +183,17 @@ TEST(CalendarQueue, DispatchSequenceIsAPureFunctionOfTheSeed) {
   EXPECT_NE(a, c);
 }
 
-TEST(CalendarQueue, SizeAndCountersTrackTraffic) {
-  CalendarQueue queue;
+TEST(FleetEventQueue, SizeAndNowTrackTraffic) {
+  EventQueue queue;
   EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.now(), 0.0);
   for (int i = 0; i < 10; ++i) queue.push(at(0.5 * i));
   EXPECT_EQ(queue.size(), 10u);
   queue.pop();
   EXPECT_EQ(queue.size(), 9u);
   while (!queue.empty()) queue.pop();
+  EXPECT_EQ(queue.size(), 0u);
   EXPECT_EQ(queue.now(), 4.5);
-  EXPECT_EQ(queue.far_inserts(), 0u);  // all within the fine window
 }
 
 }  // namespace

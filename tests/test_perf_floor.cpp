@@ -12,7 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "fleet/calendar_queue.hpp"
+#include "fleet/event_queue.hpp"
 #include "models/zoo.hpp"
 #include "obs/tail_sampler.hpp"
 #include "serve/net/server.hpp"
@@ -185,7 +185,7 @@ TEST_F(PerfFloor, EventQueueChurnsHalfAMillionEventsPerSecond) {
   constexpr std::size_t kBlock = 4096;
   constexpr std::size_t kBlocks = 256;  // ~1M events
   util::Rng rng(42);
-  fleet::CalendarQueue queue;
+  fleet::EventQueue queue;
   std::vector<double> times;
   double horizon = 0.0;
   bool ordered = true;

@@ -47,7 +47,7 @@ TEST(Planner, NoSpecialVariantIsContiguous) {
   const Chain c = make_uniform_chain(10, ms(3), ms(6), 5 * MB, 60 * MB, MB);
   const Platform p{4, 2 * GB, 12 * GB};
   MadPipeOptions options = quick_options();
-  options.disable_special_processor = true;
+  options.phase1.dp.allow_special = false;
   const auto plan = plan_madpipe(c, p, options);
   ASSERT_TRUE(plan.has_value());
   EXPECT_TRUE(plan->allocation.contiguous());
@@ -85,7 +85,7 @@ TEST(Planner, MemoryAwareContiguousBeatsOrMatchesPipeDreamWhenTight) {
     const Platform p{4, mem_gb * GB, 12 * GB};
     const auto pd = plan_pipedream(c, p);
     MadPipeOptions options = quick_options();
-    options.disable_special_processor = true;
+    options.phase1.dp.allow_special = false;
     options.phase1.dp.grid = Discretization::paper();
     const auto mc = plan_madpipe(c, p, options);
     if (!pd || !mc) continue;

@@ -152,29 +152,24 @@ TEST(PlannerFastPath, PlanInvariantInSpeculationAndWorkers) {
   const Chain chain = models::paper_network("resnet50");
   const Platform platform{4, 8 * GB, 12 * GB};
 
-  auto plan_with = [&](int speculation, std::size_t workers) {
+  // A batch of W speculative probes runs on W worker lanes, so the width
+  // also sets how many threads probe at once.
+  auto plan_with = [&](int speculation) {
     MadPipeOptions options;
     options.phase1.dp.grid = Discretization::coarse();
     options.phase1.speculation = speculation;
-    options.phase1.workers = workers;
     options.phase2.speculation = speculation;
-    options.phase2.workers = workers;
-    options.workers = workers;
     return plan_madpipe(chain, platform, options);
   };
 
-  const auto baseline = plan_with(1, 1);
+  const auto baseline = plan_with(1);
   ASSERT_TRUE(baseline.has_value());
   for (const int speculation : {2, 4}) {
-    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-      const auto plan = plan_with(speculation, workers);
-      ASSERT_TRUE(plan.has_value())
-          << "W=" << speculation << " workers=" << workers;
-      EXPECT_EQ(plan->period(), baseline->period())
-          << "W=" << speculation << " workers=" << workers;
-      EXPECT_EQ(plan->phase1_period, baseline->phase1_period);
-      EXPECT_TRUE(plan->allocation == baseline->allocation);
-    }
+    const auto plan = plan_with(speculation);
+    ASSERT_TRUE(plan.has_value()) << "W=" << speculation;
+    EXPECT_EQ(plan->period(), baseline->period()) << "W=" << speculation;
+    EXPECT_EQ(plan->phase1_period, baseline->phase1_period);
+    EXPECT_TRUE(plan->allocation == baseline->allocation);
   }
 }
 
@@ -182,16 +177,16 @@ TEST(PlannerFastPath, Phase1DeterministicAcrossWorkerCounts) {
   const Chain chain = models::paper_network("inception_v3");
   const Platform platform{4, 6 * GB, 12 * GB};
 
-  auto phase1_with = [&](int speculation, std::size_t workers) {
+  // W = 4 runs each batch on four worker lanes; W = 1 on one.
+  auto phase1_with = [&](int speculation) {
     Phase1Options options;
     options.dp.grid = Discretization::coarse();
     options.speculation = speculation;
-    options.workers = workers;
     return madpipe_phase1(chain, platform, options);
   };
 
-  const Phase1Result sequential = phase1_with(1, 1);
-  const Phase1Result speculated = phase1_with(4, 4);
+  const Phase1Result sequential = phase1_with(1);
+  const Phase1Result speculated = phase1_with(4);
   EXPECT_EQ(speculated.period, sequential.period);
   ASSERT_EQ(speculated.feasible(), sequential.feasible());
   if (sequential.feasible()) {

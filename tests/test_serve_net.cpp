@@ -471,26 +471,6 @@ TEST(ServeNet, GracefulStopDeliversInFlightResponses) {
   EXPECT_FALSE(client.recv(line));  // drained, flushed, closed
 }
 
-TEST(ServeNet, EdgeTriggeredModeServesPipelinedTraffic) {
-  NetServerOptions options;
-  options.edge_triggered = true;
-  Harness h(options);
-  Client client(h.server.port());
-  ASSERT_TRUE(client.ok());
-
-  std::string burst;
-  for (int i = 0; i < 8; ++i) {
-    burst += fast_frame("et" + std::to_string(i));
-  }
-  ASSERT_TRUE(client.send(burst));
-  for (int i = 0; i < 8; ++i) {
-    std::string line;
-    ASSERT_TRUE(client.recv(line)) << "ET response " << i << " missing";
-    EXPECT_EQ(field(line, "id"), "et" + std::to_string(i));
-    EXPECT_EQ(field(line, "status"), "ok");
-  }
-}
-
 // --- Request-scoped tracing and the admin endpoint ------------------------
 
 /// Parse the echoed trace id (16 lowercase hex digits) back to its number.

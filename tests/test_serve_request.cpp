@@ -132,14 +132,11 @@ TEST(ServeRequest, ResultDeterminingOptionsChangeKey) {
 
 TEST(ServeRequest, ResultInvariantOptionsShareKey) {
   const CanonicalRequest base = canonicalize(make_request());
-  // Speculation widths and worker counts are bit-identical by construction
-  // (enforced by the planner equivalence tests) — they must not split the
-  // cache.
+  // Speculation widths are bit-identical by construction (enforced by the
+  // planner equivalence tests) — they must not split the cache.
   PlanRequest tweaked = make_request();
   tweaked.options.phase1.speculation = 3;
-  tweaked.options.phase1.workers = 7;
   tweaked.options.phase2.speculation = 2;
-  tweaked.options.workers = 5;
   tweaked.id = "different-id";
   tweaked.deadline_seconds = 0.5;
   EXPECT_EQ(canonicalize(tweaked).fingerprint, base.fingerprint);

@@ -1,4 +1,6 @@
-#include "sim/trace.hpp"
+// ChromeTrace: the Chrome trace-event export of a periodic pattern
+// (report::timeline_to_chrome_json, what `madpipe plan --trace` writes).
+#include "report/timeline_export.hpp"
 
 #include <gtest/gtest.h>
 
@@ -15,10 +17,14 @@ struct Fixture {
       make_contiguous_allocation(chain, {{1, 2}, {3, 4}}, 2), chain, platform);
 };
 
+std::string chrome_trace(const Fixture& f, int periods) {
+  return report::timeline_to_chrome_json(f.plan.pattern, f.plan.allocation,
+                                         f.chain, {periods});
+}
+
 TEST(ChromeTrace, IsWellFormedJson) {
   const Fixture f;
-  const std::string doc =
-      pattern_to_chrome_trace(f.plan.pattern, f.plan.allocation, f.chain, 3);
+  const std::string doc = chrome_trace(f, 3);
   EXPECT_EQ(doc.front(), '{');
   EXPECT_EQ(doc.back(), '}');
   EXPECT_NE(doc.find("\"traceEvents\":["), std::string::npos);
@@ -27,8 +33,7 @@ TEST(ChromeTrace, IsWellFormedJson) {
 
 TEST(ChromeTrace, NamesEveryResourceRow) {
   const Fixture f;
-  const std::string doc =
-      pattern_to_chrome_trace(f.plan.pattern, f.plan.allocation, f.chain, 2);
+  const std::string doc = chrome_trace(f, 2);
   EXPECT_NE(doc.find("\"name\":\"gpu0\""), std::string::npos);
   EXPECT_NE(doc.find("\"name\":\"gpu1\""), std::string::npos);
   EXPECT_NE(doc.find("\"name\":\"link0-1\""), std::string::npos);
@@ -36,8 +41,7 @@ TEST(ChromeTrace, NamesEveryResourceRow) {
 
 TEST(ChromeTrace, EmitsCompleteEventsWithBatchArgs) {
   const Fixture f;
-  const std::string doc =
-      pattern_to_chrome_trace(f.plan.pattern, f.plan.allocation, f.chain, 2);
+  const std::string doc = chrome_trace(f, 2);
   EXPECT_NE(doc.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(doc.find("\"batch\":0"), std::string::npos);
   EXPECT_NE(doc.find("\"cat\":\"compute\""), std::string::npos);
@@ -54,18 +58,14 @@ TEST(ChromeTrace, SkipsPreFillInstances) {
     if (op.shift > 0) has_shifted = true;
   }
   if (!has_shifted) GTEST_SKIP() << "plan has no shifted ops at this period";
-  const std::string one =
-      pattern_to_chrome_trace(f.plan.pattern, f.plan.allocation, f.chain, 1);
-  const std::string four =
-      pattern_to_chrome_trace(f.plan.pattern, f.plan.allocation, f.chain, 4);
+  const std::string one = chrome_trace(f, 1);
+  const std::string four = chrome_trace(f, 4);
   EXPECT_LT(one.size(), four.size());
 }
 
 TEST(ChromeTrace, RejectsZeroPeriods) {
   const Fixture f;
-  EXPECT_THROW(
-      pattern_to_chrome_trace(f.plan.pattern, f.plan.allocation, f.chain, 0),
-      ContractViolation);
+  EXPECT_THROW(chrome_trace(f, 0), ContractViolation);
 }
 
 }  // namespace

@@ -21,8 +21,8 @@
 //                [--bandwidth-gbs X] [--json FILE] [--trace FILE]
 //       Plan the profile on the platform. Planners: madpipe (default),
 //       madpipe-contig, pipedream, gpipe, recompute. --json dumps the full
-//       plan; --trace writes a chrome://tracing document of the steady
-//       state.
+//       plan; --trace writes a chrome://tracing timeline of six periods
+//       (one process per GPU and per link).
 //
 //   madpipe simulate <profile-file> [--batches N] [plan options]
 //       Plan, then execute the plan in the discrete-event simulator and
@@ -61,7 +61,7 @@
 //       document, each output line the matching response.
 //
 //   madpipe serve --listen HOST:PORT [--net-workers N] [--rate R]
-//                 [--burst N] [--shed-depth N] [--edge-triggered]
+//                 [--burst N] [--shed-depth N]
 //       TCP mode: newline-delimited madpipe-serve-v1 requests over an epoll
 //       event loop (one response line per request line, in order per
 //       connection). Admission control sheds with `rejected` responses: a
@@ -144,7 +144,6 @@
 #include "serve/service.hpp"
 #include "serve/snapshot.hpp"
 #include "sim/event_sim.hpp"
-#include "sim/trace.hpp"
 #include "util/cli.hpp"
 #include "util/format.hpp"
 #include "util/json.hpp"
@@ -194,7 +193,6 @@ struct Args {
   double rate = 0.0;         ///< per-connection tokens/s; 0 = unlimited
   double burst = 64.0;       ///< per-connection token bucket burst
   int shed_depth = 0;        ///< queue depth that sheds; 0 = queue capacity
-  bool edge_triggered = false;  ///< epoll ET instead of LT
   std::string admin;         ///< HOST:PORT; empty = no admin endpoint
   int slow_k = 8;            ///< tail sampler: slowest-k kept per window
   // fleet
@@ -231,7 +229,7 @@ struct Args {
                "        [--repeat N] [--stats] [--stdin]\n"
                "        [--listen HOST:PORT] [--net-workers N] [--rate R] "
                "[--burst N]\n"
-               "        [--shed-depth N] [--edge-triggered]\n"
+               "        [--shed-depth N]\n"
                "        [--cache-save FILE] [--cache-load FILE]\n"
                "        [--admin HOST:PORT] [--slow-k N]\n"
                "  fleet [TRACE.json] [--policy fifo|deadline|affinity] "
@@ -318,8 +316,6 @@ Args parse(int argc, char** argv) {
       args.burst = std::atof(next_value().c_str());
     } else if (arg == "--shed-depth") {
       args.shed_depth = std::atoi(next_value().c_str());
-    } else if (arg == "--edge-triggered") {
-      args.edge_triggered = true;
     } else if (arg == "--admin") {
       args.admin = next_value();
     } else if (arg == "--slow-k") {
@@ -538,8 +534,9 @@ ValidateReport validate_document(const std::string& text) {
         report.kind = "madpipe-fleet-trace-v1";
         return report;
       }
-      // Other schema-tagged documents (explain dumps, timelines, bench
-      // records) are outputs, not inputs — well-formed JSON is all we ask.
+      // Other schema-tagged documents (explain dumps, fleet reports,
+      // metrics dumps) are outputs, not inputs — well-formed JSON is all we
+      // ask.
       ValidateReport report;
       report.kind = name + " (well-formed JSON, not deeply checked)";
       return report;
@@ -583,7 +580,7 @@ std::optional<Plan> run_planner(const Args& args, const Chain& chain,
   if (args.planner == "madpipe" || args.planner == "madpipe-contig") {
     MadPipeOptions options;
     options.phase1.dp.grid = Discretization::paper();
-    options.disable_special_processor = args.planner == "madpipe-contig";
+    options.phase1.dp.allow_special = args.planner != "madpipe-contig";
     return plan_madpipe(chain, platform, options);
   }
   if (args.planner == "pipedream") return plan_pipedream(chain, platform);
@@ -639,8 +636,8 @@ int cmd_plan(const Args& args, bool simulate) {
   }
   if (!args.trace_path.empty()) {
     write_file(args.trace_path,
-               pattern_to_chrome_trace(plan->pattern, plan->allocation,
-                                       plan_chain, 6));
+               report::timeline_to_chrome_json(plan->pattern,
+                                               plan->allocation, plan_chain));
     std::printf("chrome trace -> %s (open in chrome://tracing)\n",
                 args.trace_path.c_str());
   }
@@ -881,7 +878,6 @@ int cmd_serve_listen(const Args& args, serve::PlanService& service) {
   options.token_burst = args.burst;
   if (args.shed_depth < 0) usage("--shed-depth must be >= 0");
   options.shed_queue_depth = static_cast<std::size_t>(args.shed_depth);
-  options.edge_triggered = args.edge_triggered;
 
   serve::net::NetServer server(service, options);
   std::fprintf(stderr, "madpipe serve: listening on %s:%u\n",
