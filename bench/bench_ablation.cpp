@@ -4,8 +4,7 @@
 //   3. phase-1 lower bound vs the period phase 2 (branch-and-bound) reaches;
 //   4. the ⊕-delay communication-term variant (paper-literal vs
 //      boundary-consistent, see DESIGN.md "known paper typo");
-//   5. eager 1F1B execution vs 1F1B* memory floors (Proposition 1 in vivo);
-//   6. the schedule-best-of-k extension.
+//   5. eager 1F1B execution vs 1F1B* memory floors (Proposition 1 in vivo).
 #include <cstdio>
 
 #include "common.hpp"
@@ -129,29 +128,6 @@ void ablate_eager_memory() {
   std::printf("%s\n", table.to_string().c_str());
 }
 
-void ablate_best_of() {
-  std::printf("-- Ablation 6: scheduling the best k phase-1 iterates "
-              "(extension; k = 1 is the paper's algorithm) --\n");
-  fmt::Table table({"P", "M(GB)", "k=1", "k=4"});
-  for (const int processors : {2, 4, 8}) {
-    for (const double memory : {4.0, 8.0}) {
-      std::vector<std::string> row{std::to_string(processors),
-                                   fmt::fixed(memory, 0)};
-      for (const int k : {1, 4}) {
-        CellConfig config;
-        config.network = "resnet50";
-        config.processors = processors;
-        config.memory_gb = memory;
-        config.madpipe.phase1.dp.grid = Discretization::paper();
-        config.madpipe.schedule_best_of = k;
-        row.push_back(period_cell(run_cell(config).madpipe));
-      }
-      table.add_row(std::move(row));
-    }
-  }
-  std::printf("%s\n", table.to_string().c_str());
-}
-
 }  // namespace
 
 int main() {
@@ -160,6 +136,5 @@ int main() {
   ablate_phase2_gap();
   ablate_delay_variant();
   ablate_eager_memory();
-  ablate_best_of();
   return 0;
 }

@@ -21,9 +21,7 @@ void show(const char* title, const Plan& plan, const Chain& chain) {
                                    Platform{plan.allocation.num_processors(),
                                             1e9 * GB, 12 * GB})
                         .c_str());
-  std::printf("%s\n",
-              render_gantt(plan.pattern, plan.allocation, chain, {96, 2})
-                  .c_str());
+  std::printf("%s\n", render_gantt(plan.pattern, {96, 2}).c_str());
 }
 
 }  // namespace

@@ -194,7 +194,6 @@ FleetResult FleetSimulator::run() {
           chain_for(job.spec->network),
           Platform{decision->gpus, trace_.memory_gb * GB,
                    trace_.bandwidth_gbs * GB},
-          serve::PlannerKind::MadPipe,
           MadPipeOptions{},
           job.spec->plan_deadline_ms / 1000.0,
           /*report_timings=*/false,

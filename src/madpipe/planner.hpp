@@ -22,13 +22,6 @@ namespace madpipe {
 struct MadPipeOptions {
   Phase1Options phase1;
   PeriodSearchOptions phase2;
-  /// Extension (not in the paper, ablated in bench_ablation): schedule the
-  /// best `schedule_best_of` *distinct* phase-1 iterate allocations and keep
-  /// the smallest real period, instead of only the iterate with the best
-  /// phase-1 estimate. 1 = the paper's behaviour. The candidates' period
-  /// searches run concurrently, one lane per candidate; the winner is
-  /// picked by the same deterministic rule as a sequential loop.
-  int schedule_best_of = 1;
 };
 
 /// Plan `chain` on `platform` with MadPipe. Returns nullopt when no

@@ -79,10 +79,7 @@ Phase1Result madpipe_phase1(const Chain& chain, const Platform& platform,
 
   Seconds target = lb;
   for (int i = 0; i < options.iterations; ++i) {
-    // Keeping every iterate's allocation needs every probe exact.
-    const Seconds incumbent = options.keep_iterate_allocations
-                                  ? std::numeric_limits<double>::infinity()
-                                  : result.period;
+    const Seconds incumbent = result.period;
     // A miss runs the whole batch under today's incumbent; a cached result
     // may thus carry an older, larger bound.
     const MadPipeDPResult& dp = runner.demand(
@@ -96,9 +93,7 @@ Phase1Result madpipe_phase1(const Chain& chain, const Platform& platform,
                                ? dp.period
                                : std::numeric_limits<double>::infinity();
     const Seconds achieved = std::max(period, target);
-    result.trace.push_back(
-        {target, achieved,
-         options.keep_iterate_allocations ? dp.allocation : std::nullopt});
+    result.trace.push_back({target, achieved});
     log::debug("phase1 iteration ", i, ": target=", target,
                " achieved=", achieved);
 

@@ -24,11 +24,6 @@ namespace madpipe {
 struct Phase1Options {
   int iterations = 10;  ///< K of Algorithm 1 (10 suffices per the paper)
   MadPipeDPOptions dp;
-  /// Retain every iterate's allocation in the trace (used by the "schedule
-  /// the best k iterates" extension; the paper keeps only the best). Such
-  /// runs need every iterate's exact result, so their probes run without
-  /// the incumbent bound.
-  bool keep_iterate_allocations = false;
   /// Speculation width W of the bisection fast path: up to W DP probes run
   /// concurrently, the extras at the targets the search would request next
   /// under each possible outcome of the pending probe. Results are
@@ -40,12 +35,10 @@ struct Phase1Options {
 
 struct Phase1Iteration {
   Seconds target = 0.0;    ///< T̂_i
-  /// max(MadPipe-DP(T̂_i), T̂_i); infinity if infeasible or, unless
-  /// keep_iterate_allocations is set, if MadPipe-DP(T̂_i) is no better than
-  /// the incumbent (the best period of the earlier iterations).
+  /// max(MadPipe-DP(T̂_i), T̂_i); infinity if infeasible or if
+  /// MadPipe-DP(T̂_i) is no better than the incumbent (the best period of
+  /// the earlier iterations).
   Seconds achieved = 0.0;
-  /// Present only with Phase1Options::keep_iterate_allocations.
-  std::optional<Allocation> allocation;
 };
 
 struct Phase1Result {

@@ -24,10 +24,9 @@ constexpr int kPaletteSize =
 }  // namespace
 
 void write_timeline(json::Writer& w, const PeriodicPattern& pattern,
-                    const Allocation& allocation, const Chain& chain,
+                    const Allocation& allocation,
                     const TimelineOptions& options) {
   MP_EXPECT(options.periods >= 1, "need at least one period to export");
-  (void)chain;
 
   // One Chrome process per resource: GPUs in index order first (idle GPUs
   // included, so gaps in the allocation are visible), then links.
@@ -86,10 +85,9 @@ void write_timeline(json::Writer& w, const PeriodicPattern& pattern,
 
 std::string timeline_to_chrome_json(const PeriodicPattern& pattern,
                                     const Allocation& allocation,
-                                    const Chain& chain,
                                     const TimelineOptions& options) {
   json::Writer writer;
-  write_timeline(writer, pattern, allocation, chain, options);
+  write_timeline(writer, pattern, allocation, options);
   return writer.str();
 }
 

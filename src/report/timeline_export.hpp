@@ -12,7 +12,6 @@
 
 #include <string>
 
-#include "core/chain.hpp"
 #include "core/partition.hpp"
 #include "core/pattern.hpp"
 
@@ -28,12 +27,11 @@ struct TimelineOptions {
 
 /// Append the unrolled timeline as one Chrome trace-event JSON document.
 void write_timeline(json::Writer& writer, const PeriodicPattern& pattern,
-                    const Allocation& allocation, const Chain& chain,
+                    const Allocation& allocation,
                     const TimelineOptions& options = {});
 
 std::string timeline_to_chrome_json(const PeriodicPattern& pattern,
                                     const Allocation& allocation,
-                                    const Chain& chain,
                                     const TimelineOptions& options = {});
 
 }  // namespace madpipe::report

@@ -37,8 +37,7 @@ bool known_field(const std::string& key, const char* const* allowed,
 std::string parse_options(const json::Value& value, MadPipeOptions* options,
                           bool* report_timings, bool* report_explain) {
   static const char* const kAllowed[] = {
-      "iterations", "max_states", "schedule_best_of", "relative_precision",
-      "timings", "explain"};
+      "iterations", "max_states", "relative_precision", "timings", "explain"};
   for (const auto& member : value.members()) {
     if (!known_field(member.first, kAllowed, std::size(kAllowed)))
       return "unknown options field '" + member.first + "'";
@@ -54,12 +53,6 @@ std::string parse_options(const json::Value& value, MadPipeOptions* options,
       return "options.max_states must be a positive number";
     options->phase1.dp.max_states =
         static_cast<std::size_t>(v->as_number());
-  }
-  if (const json::Value* v = value.find("schedule_best_of")) {
-    int best_of = 0;
-    if (!as_int(*v, &best_of) || best_of < 1)
-      return "options.schedule_best_of must be a positive integer";
-    options->schedule_best_of = best_of;
   }
   if (const json::Value* v = value.find("relative_precision")) {
     if (!v->is_number() || !(v->as_number() > 0.0))
@@ -201,20 +194,20 @@ RequestParse request_from_json(const json::Value& value) {
     bandwidth_gbs = v->as_number();
   }
 
-  PlannerKind planner = PlannerKind::MadPipe;
+  // "madpipe-contig" is MadPipe without the special processor.
+  MadPipeOptions options;
   if (const json::Value* v = value.find("planner")) {
     if (!v->is_string()) {
       parse.error = "planner must be a string";
       return parse;
     }
-    const std::optional<PlannerKind> kind =
-        planner_kind_from_string(v->as_string());
-    if (!kind.has_value()) {
-      parse.error = "unknown planner '" + v->as_string() +
-                    "' (expected madpipe or madpipe-contig)";
+    const std::string& name = v->as_string();
+    if (name != "madpipe" && name != "madpipe-contig") {
+      parse.error =
+          "unknown planner '" + name + "' (expected madpipe or madpipe-contig)";
       return parse;
     }
-    planner = *kind;
+    options.phase1.dp.allow_special = name == "madpipe";
   }
 
   Seconds deadline_seconds = 0.0;
@@ -226,7 +219,6 @@ RequestParse request_from_json(const json::Value& value) {
     deadline_seconds = v->as_number() * 1e-3;
   }
 
-  MadPipeOptions options;
   bool report_timings = false;
   bool report_explain = false;
   if (const json::Value* v = value.find("options")) {
@@ -242,7 +234,6 @@ RequestParse request_from_json(const json::Value& value) {
                       std::move(*chain),
                       Platform{gpus, memory->as_number() * GB,
                                bandwidth_gbs * GB},
-                      planner,
                       options,
                       deadline_seconds,
                       report_timings,

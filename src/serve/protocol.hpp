@@ -1,7 +1,7 @@
 // JSON wire protocol for `madpipe serve`.
 //
 // Requests name a profile source (inline text, a file, or a zoo network),
-// the platform {gpus, memory_gb, bandwidth_gbs}, a planner kind and optional
+// the platform {gpus, memory_gb, bandwidth_gbs}, a planner name and optional
 // tuning knobs; responses echo the request id and report the plan, the cache
 // outcome and the latency. The protocol is strict like the rest of the
 // repo: unknown fields, wrong types and missing requirements are errors —

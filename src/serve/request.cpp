@@ -45,11 +45,7 @@ void append_int(std::string& out, long long v) {
 /// deliberately left out: results are bit-identical across widths by
 /// construction (enforced by the speculation-invariance tests), so requests
 /// differing only in those must share a cache entry.
-void append_options(std::string& out, const PlanRequest& request) {
-  const MadPipeOptions& o = request.options;
-  out += "plan=";
-  out += to_string(request.planner);
-  out += '|';
+void append_options(std::string& out, const MadPipeOptions& o) {
   append_int(out, o.phase1.iterations);
   append_int(out, o.phase1.dp.grid.load_points);
   append_int(out, o.phase1.dp.grid.memory_points);
@@ -58,7 +54,6 @@ void append_options(std::string& out, const PlanRequest& request) {
   append_int(out, static_cast<int>(o.phase1.dp.delay_comm_variant));
   append_int(out, o.phase1.dp.allow_special ? 1 : 0);
   append_int(out, static_cast<long long>(o.phase1.dp.max_states));
-  append_int(out, o.schedule_best_of);
   append_bits(out, o.phase2.relative_precision);
   append_int(out, o.phase2.max_probes);
   append_int(out, static_cast<long long>(o.phase2.bb.max_nodes));
@@ -76,28 +71,6 @@ std::uint64_t fingerprint_digest(const std::string& fingerprint) {
   h = util::mix64(h);
   // The all-ones key is the flat table's empty sentinel.
   return h == ~0ull ? 0ull : h;
-}
-
-const char* to_string(PlannerKind kind) noexcept {
-  switch (kind) {
-    case PlannerKind::MadPipe: return "madpipe";
-    case PlannerKind::MadPipeContiguous: return "madpipe-contig";
-  }
-  return "unknown";
-}
-
-std::optional<PlannerKind> planner_kind_from_string(const std::string& name) {
-  if (name == "madpipe") return PlannerKind::MadPipe;
-  if (name == "madpipe-contig") return PlannerKind::MadPipeContiguous;
-  return std::nullopt;
-}
-
-MadPipeOptions planner_options(const PlanRequest& request) {
-  MadPipeOptions options = request.options;
-  if (request.planner == PlannerKind::MadPipeContiguous) {
-    options.phase1.dp.allow_special = false;
-  }
-  return options;
 }
 
 CanonicalRequest canonicalize(const PlanRequest& request) {
@@ -186,11 +159,11 @@ CanonicalRequest canonicalize(const PlanRequest& request) {
 
   std::string& fp = canonical.fingerprint;
   fp.reserve(96 + static_cast<std::size_t>(chain.length()) * 85);
-  fp = "madpipe-serve-key-v1|";
+  fp = "madpipe-serve-key-v2|";
   append_int(fp, normalized ? 1 : 0);
   append_int(fp, platform.processors);
   append_int(fp, chain.length());
-  append_options(fp, request);
+  append_options(fp, request.options);
   append_bits(fp, canonical.platform.memory_per_processor);
   append_bits(fp, canonical.platform.bandwidth);
   append_bits(fp, canonical.chain.activation(0));

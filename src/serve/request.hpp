@@ -1,8 +1,7 @@
 // Plan requests and their canonical cache keys.
 //
 // A PlanRequest bundles everything `plan_madpipe` needs — profile, platform
-// {P, M, β}, planner kind and options — plus serve-level fields (id,
-// deadline). Canonicalization turns a request into a cache key by
+// {P, M, β} and options — plus serve-level fields (id, deadline). Canonicalization turns a request into a cache key by
 // normalizing the profile into canonical units:
 //
 //  * the time unit is 2^floor(log2(U(1,L))) and every duration is divided
@@ -40,20 +39,13 @@
 
 namespace madpipe::serve {
 
-enum class PlannerKind {
-  MadPipe,            ///< full MadPipe (special processor enabled)
-  MadPipeContiguous,  ///< the memory-aware contiguous ablation
-};
-
-const char* to_string(PlannerKind kind) noexcept;
-std::optional<PlannerKind> planner_kind_from_string(const std::string& name);
-
 /// One planning request as submitted to the service.
 struct PlanRequest {
   std::string id;  ///< caller-chosen correlation id (protocol-level only)
   Chain chain;
   Platform platform;
-  PlannerKind planner = PlannerKind::MadPipe;
+  /// Planner options; the protocol's "madpipe-contig" planner is
+  /// `options.phase1.dp.allow_special = false`.
   MadPipeOptions options;
   /// Wall-clock budget for this request; 0 = none. Overrunning requests are
   /// not killed — their DP state budget is shrunk so they degrade to a
@@ -104,10 +96,6 @@ std::uint64_t fingerprint_digest(const std::string& fingerprint);
 /// (exact: the units are powers of two). Times scale by time_unit; the
 /// allocation, shifts and counters are unit-free.
 Plan denormalize_plan(Plan plan, double time_unit);
-
-/// MadPipeOptions as the planner should see them for `request` (applies the
-/// planner-kind toggle onto the embedded options).
-MadPipeOptions planner_options(const PlanRequest& request);
 
 /// Compact allocation fingerprint "first-last@proc;..." in stage order —
 /// shared by the serve protocol and the golden tests.

@@ -266,7 +266,7 @@ void PlanService::submit_impl(PlanRequest request,
                                  : options_.default_deadline_seconds;
     span->arg("outcome", static_cast<long long>(CacheOutcome::Miss));
     queue_.push_back(Job{std::move(pending), std::move(canonical),
-                         planner_options(request), deadline, submitted,
+                         request.options, deadline, submitted,
                          obs::now_ns(), request.trace_id});
     counters_.queue_depth.set(static_cast<double>(queue_.size()));
   }

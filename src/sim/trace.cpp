@@ -29,7 +29,6 @@ char op_symbol(const PatternOp& op) {
 }  // namespace
 
 std::string render_gantt(const PeriodicPattern& pattern,
-                         const Allocation& allocation, const Chain& chain,
                          const GanttOptions& options) {
   MP_EXPECT(options.width >= 10 && options.periods >= 1,
             "unreasonable gantt geometry");
@@ -75,8 +74,6 @@ std::string render_gantt(const PeriodicPattern& pattern,
     os << to_string(op.kind) << op.stage << "=" << op.shift << ' ';
   }
   os << '\n';
-  (void)allocation;
-  (void)chain;
   return os.str();
 }
 

@@ -6,10 +6,7 @@
 
 #include <string>
 
-#include "core/chain.hpp"
-#include "core/partition.hpp"
 #include "core/pattern.hpp"
-#include "core/platform.hpp"
 
 namespace madpipe {
 
@@ -20,7 +17,6 @@ struct GanttOptions {
 
 /// Render `pattern` as a fixed-width Gantt chart with index shifts noted.
 std::string render_gantt(const PeriodicPattern& pattern,
-                         const Allocation& allocation, const Chain& chain,
                          const GanttOptions& options = {});
 
 }  // namespace madpipe

@@ -300,7 +300,6 @@ serve::PlanRequest obs_request(int gpus = 2) {
   return serve::PlanRequest{"obs",
                             make_uniform_chain(4, ms(2), ms(4), MB, 8 * MB, MB),
                             Platform{gpus, 2 * GB, 12 * GB},
-                            serve::PlannerKind::MadPipe,
                             MadPipeOptions{},
                             0.0};
 }

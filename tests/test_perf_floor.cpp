@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -164,6 +165,8 @@ TEST_F(PerfFloor, PipelinedTcpHitsSustainOneHundredThousandPerSecond) {
   for (const int clients : {1, 2, 4}) {
     peak = std::max(peak, pipelined_rps(warm.server.port(), clients, 16, 0.4));
   }
+  std::printf("PerfFloor pipelined TCP hits: %.0f req/s (floor 100000)\n",
+              peak);
   EXPECT_GE(peak, 100'000.0);
 }
 
@@ -175,6 +178,10 @@ TEST_F(PerfFloor, ArmedTailSamplingKeepsEightyPercentOfHitThroughput) {
   obs::arm_tail_sampling({});
   const double armed = fixed_run_rps(warm.server.port(), 1000);
   obs::disarm_tail_sampling();
+  std::printf(
+      "PerfFloor tail sampling: armed/disarmed %.3f (%.0f vs %.0f req/s, "
+      "floor 0.8)\n",
+      armed / disarmed, armed, disarmed);
   ASSERT_GT(disarmed, 0.0);
   EXPECT_GE(armed / disarmed, 0.8) << armed << " vs " << disarmed << " req/s";
 }
@@ -213,6 +220,8 @@ TEST_F(PerfFloor, EventQueueChurnsHalfAMillionEventsPerSecond) {
   }
   const double events_per_second =
       static_cast<double>(kBlocks * kBlock) / seconds_since(start);
+  std::printf("PerfFloor event queue: %.0f events/s (floor 500000)\n",
+              events_per_second);
   EXPECT_TRUE(ordered);
   EXPECT_GE(events_per_second, 500'000.0);
 }
@@ -224,7 +233,6 @@ TEST_F(PerfFloor, Gpt2XlServeHitIsOneHundredTimesFasterThanColdPlan) {
   const serve::PlanRequest request{"floor",
                                    models::build_network(config),
                                    Platform{4, 16 * GB, 12 * GB},
-                                   serve::PlannerKind::MadPipe,
                                    MadPipeOptions{},
                                    0.0};
   serve::PlanService service;
@@ -234,6 +242,8 @@ TEST_F(PerfFloor, Gpt2XlServeHitIsOneHundredTimesFasterThanColdPlan) {
   const Clock::time_point hit_start = Clock::now();
   const serve::PlanResponse hit = service.plan(request);
   const double hit_seconds = seconds_since(hit_start);
+  std::printf("PerfFloor gpt2-xl serve: cold/hit %.0f (floor 100)\n",
+              cold_seconds / hit_seconds);
   ASSERT_EQ(cold.status, serve::ResponseStatus::Ok);
   ASSERT_EQ(hit.cache, serve::CacheOutcome::Hit);
   EXPECT_GE(cold_seconds / hit_seconds, 100.0);

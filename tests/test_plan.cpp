@@ -52,8 +52,7 @@ TEST(Gantt, RendersEveryResource) {
   const Chain c = make_uniform_chain(4, ms(5), ms(10), MB, MB, MB);
   const Platform p{2, 10 * GB, 1e6 * GB};
   const Plan plan = sample_plan(c, p);
-  const std::string gantt =
-      render_gantt(plan.pattern, plan.allocation, c, {80, 1});
+  const std::string gantt = render_gantt(plan.pattern, {80, 1});
   EXPECT_NE(gantt.find("gpu0"), std::string::npos);
   EXPECT_NE(gantt.find("gpu1"), std::string::npos);
   EXPECT_NE(gantt.find("link0-1"), std::string::npos);
@@ -66,8 +65,7 @@ TEST(Gantt, RejectsSillyGeometry) {
   const Chain c = make_uniform_chain(4, ms(5), ms(10), MB, MB, MB);
   const Platform p{2, 10 * GB, 1e6 * GB};
   const Plan plan = sample_plan(c, p);
-  EXPECT_THROW(render_gantt(plan.pattern, plan.allocation, c, {5, 1}),
-               ContractViolation);
+  EXPECT_THROW(render_gantt(plan.pattern, {5, 1}), ContractViolation);
 }
 
 }  // namespace

@@ -360,12 +360,11 @@ TEST(PlanReportJson, HumanRenderingHasAllSections) {
 
 TEST(PlanReportTimeline, OneProcessPerGpuAndPerLink) {
   const TinyCase t = tiny_case();
-  const Chain& chain = t.chain;
   const Platform& platform = t.platform;
   const Plan& plan = t.plan;
   constexpr int kPeriods = 3;
   const std::string text = report::timeline_to_chrome_json(
-      plan.pattern, plan.allocation, chain, {kPeriods});
+      plan.pattern, plan.allocation, {kPeriods});
   const json::ParseResult parsed = json::parse(text);
   ASSERT_TRUE(parsed.ok()) << parsed.error;
   const json::Value* events = parsed.value.find("traceEvents");

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "pipedream/pipedream.hpp"
-#include "util/expect.hpp"
 
 namespace madpipe {
 namespace {
@@ -52,28 +51,6 @@ TEST(Planner, NoSpecialVariantIsContiguous) {
   ASSERT_TRUE(plan.has_value());
   EXPECT_TRUE(plan->allocation.contiguous());
   EXPECT_EQ(plan->planner, "madpipe-contig");
-}
-
-TEST(Planner, ScheduleBestOfNeverHurts) {
-  const Chain c = make_uniform_chain(12, ms(2), ms(4), 8 * MB, 90 * MB, MB);
-  const Platform p{4, 1.8 * GB, 12 * GB};
-  const auto baseline = plan_madpipe(c, p, quick_options());
-  MadPipeOptions extended = quick_options();
-  extended.schedule_best_of = 4;
-  const auto extra = plan_madpipe(c, p, extended);
-  if (baseline && extra) {
-    EXPECT_LE(extra->period(), baseline->period() * (1.0 + 1e-9));
-  } else {
-    EXPECT_EQ(baseline.has_value(), extra.has_value());
-  }
-}
-
-TEST(Planner, RejectsBadBestOf) {
-  const Chain c = make_uniform_chain(4, ms(1), ms(1), MB, MB, MB);
-  const Platform p{2, GB, 12 * GB};
-  MadPipeOptions options = quick_options();
-  options.schedule_best_of = 0;
-  EXPECT_THROW(plan_madpipe(c, p, options), ContractViolation);
 }
 
 TEST(Planner, MemoryAwareContiguousBeatsOrMatchesPipeDreamWhenTight) {

@@ -60,29 +60,6 @@ TEST(Phase1, InfeasibleWhenMemoryHopeless) {
   EXPECT_TRUE(std::isinf(result.period));
 }
 
-TEST(Phase1, KeepsIterateAllocationsOnRequest) {
-  const Chain c = make_uniform_chain(8, ms(2), ms(4), 5 * MB, 40 * MB, MB);
-  const Platform p{3, 2 * GB, 12 * GB};
-  Phase1Options options = quick_options();
-  options.keep_iterate_allocations = true;
-  const auto result = madpipe_phase1(c, p, options);
-  ASSERT_TRUE(result.feasible());
-  bool any = false;
-  for (const auto& it : result.trace) {
-    if (it.allocation.has_value()) any = true;
-  }
-  EXPECT_TRUE(any);
-}
-
-TEST(Phase1, IterateAllocationsOmittedByDefault) {
-  const Chain c = make_uniform_chain(8, ms(2), ms(4), 5 * MB, 40 * MB, MB);
-  const Platform p{3, 2 * GB, 12 * GB};
-  const auto result = madpipe_phase1(c, p, quick_options());
-  for (const auto& it : result.trace) {
-    EXPECT_FALSE(it.allocation.has_value());
-  }
-}
-
 TEST(Phase1, MorePressureNeverImprovesPeriod) {
   const Chain c = make_uniform_chain(10, ms(2), ms(4), 10 * MB, 80 * MB, MB);
   Seconds previous = -1.0;

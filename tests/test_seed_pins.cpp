@@ -105,9 +105,7 @@ Chain scale_chain(const Chain& chain, double time_factor, double byte_factor) {
 }
 
 serve::PlanRequest serve_request(const Chain& chain, const Platform& platform) {
-  return serve::PlanRequest{"seed",           chain,
-                            platform,         serve::PlannerKind::MadPipe,
-                            MadPipeOptions{}, 0.0};
+  return serve::PlanRequest{"seed", chain, platform, MadPipeOptions{}, 0.0};
 }
 
 /// A served plan, after checking its cache outcome and that it is bit

@@ -354,8 +354,7 @@ TEST(ServeNet, ServiceBacklogShedsByQueueDepth) {
   std::future<void> a_parked = parked.get_future();
   h.service.submit_async(
       PlanRequest{"a", make_uniform_chain(6, ms(2), ms(4), MB, 8 * MB, MB),
-                  Platform{2, 8 * GB, 12 * GB}, PlannerKind::MadPipe,
-                  MadPipeOptions{}, 0.0},
+                  Platform{2, 8 * GB, 12 * GB}, MadPipeOptions{}, 0.0},
       [&parked, open = gate.get_future().share()](PlanResponse&&) {
         parked.set_value();
         open.wait();

@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "madpipe/planner.hpp"
+#include "models/zoo.hpp"
+#include "serve/protocol.hpp"
 
 namespace madpipe::serve {
 namespace {
@@ -38,7 +40,6 @@ PlanRequest make_request(double time_factor = 1.0, double byte_factor = 1.0,
                      ragged_chain(time_factor, byte_factor, name),
                      Platform{4, 2 * GB * byte_factor,
                               12 * GB * byte_factor / time_factor},
-                     PlannerKind::MadPipe,
                      MadPipeOptions{},
                      0.0};
 }
@@ -126,8 +127,29 @@ TEST(ServeRequest, ResultDeterminingOptionsChangeKey) {
   EXPECT_NE(canonicalize(coarse).key, base.key);
 
   PlanRequest contiguous = make_request();
-  contiguous.planner = PlannerKind::MadPipeContiguous;
+  contiguous.options.phase1.dp.allow_special = false;
   EXPECT_NE(canonicalize(contiguous).key, base.key);
+}
+
+TEST(ServeRequest, ContiguousPlannerIsOneKeyFromCppAndProtocol) {
+  // The protocol's "madpipe-contig" planner and a C++ request that turns the
+  // special processor off are the same planner run, so one cache entry.
+  const BatchParse batch = parse_requests(
+      R"({"network":{"name":"resnet50"},"gpus":4,"memory_gb":8,)"
+      R"("planner":"madpipe-contig"})");
+  ASSERT_TRUE(batch.ok()) << batch.error;
+  ASSERT_EQ(batch.requests.size(), 1u);
+  ASSERT_TRUE(batch.requests[0].ok()) << batch.requests[0].error;
+  models::NetworkConfig config;
+  config.network = "resnet50";
+  PlanRequest cpp{"cpp", models::build_network(config),
+                  Platform{4, 8 * GB, 12 * GB}, MadPipeOptions{}, 0.0};
+  cpp.options.phase1.dp.allow_special = false;
+  const CanonicalRequest from_protocol =
+      canonicalize(*batch.requests[0].request);
+  const CanonicalRequest from_cpp = canonicalize(cpp);
+  EXPECT_EQ(from_protocol.fingerprint, from_cpp.fingerprint);
+  EXPECT_EQ(from_protocol.key, from_cpp.key);
 }
 
 TEST(ServeRequest, ResultInvariantOptionsShareKey) {

@@ -46,7 +46,6 @@ PlanRequest make_request(const std::string& id, double time_factor = 1.0,
                      ragged_chain(time_factor, byte_factor),
                      Platform{4, 2 * GB * byte_factor,
                               12 * GB * byte_factor / time_factor},
-                     PlannerKind::MadPipe,
                      quick_options(),
                      0.0};
 }
@@ -146,7 +145,6 @@ TEST(ServeService, PaperRequestCoalescesExactlyAndHitsBeatAColdPlan) {
   const PlanRequest request{"r101",
                             models::paper_network("resnet101"),
                             Platform{4, 8 * GB, 12 * GB},
-                            PlannerKind::MadPipe,
                             MadPipeOptions{},
                             0.0};
   const Clock::time_point cold_start = Clock::now();
@@ -366,7 +364,6 @@ TEST(ServeService, DestructionCancelsQueuedJobsWithShutdownStatus) {
     PlanRequest slow{"running",
                      models::build_network(config),
                      Platform{4, 8 * GB, 12 * GB},
-                     PlannerKind::MadPipe,
                      MadPipeOptions{},
                      0.0};
     running = service.submit(std::move(slow));
@@ -420,7 +417,6 @@ TEST(ServeService, SubmitAsyncCallbacksCarryShutdownStatusMidDrain) {
     PlanRequest slow{"running",
                      models::build_network(config),
                      Platform{4, 8 * GB, 12 * GB},
-                     PlannerKind::MadPipe,
                      MadPipeOptions{},
                      0.0};
     service.submit_async(std::move(slow), capture);

@@ -45,7 +45,6 @@ PlanRequest make_request(const std::string& id, double memory_gb = 2.0) {
   return PlanRequest{id,
                      ragged_chain(),
                      Platform{4, memory_gb * GB, 12 * GB},
-                     PlannerKind::MadPipe,
                      quick_options(),
                      0.0};
 }

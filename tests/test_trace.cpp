@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "schedule/one_f_one_b.hpp"
 #include "util/expect.hpp"
 
@@ -19,7 +21,7 @@ struct Fixture {
 
 std::string chrome_trace(const Fixture& f, int periods) {
   return report::timeline_to_chrome_json(f.plan.pattern, f.plan.allocation,
-                                         f.chain, {periods});
+                                         {periods});
 }
 
 TEST(ChromeTrace, IsWellFormedJson) {
@@ -49,18 +51,24 @@ TEST(ChromeTrace, EmitsCompleteEventsWithBatchArgs) {
 }
 
 TEST(ChromeTrace, SkipsPreFillInstances) {
-  // Ops with index shift h only appear once period ≥ h (batch ≥ 0): the
-  // one-period export of a shifted op must be absent.
+  // Ops with index shift h only appear once period ≥ h (batch ≥ 0): a
+  // one-period export holds exactly one event per unshifted op and no
+  // event with a negative batch index.
   const Fixture f;
-  // Find an op with a positive shift; shrink the export to one period.
-  bool has_shifted = false;
+  std::size_t unshifted = 0;
+  std::size_t shifted = 0;
   for (const PatternOp& op : f.plan.pattern.ops) {
-    if (op.shift > 0) has_shifted = true;
+    ++(op.shift == 0 ? unshifted : shifted);
   }
-  if (!has_shifted) GTEST_SKIP() << "plan has no shifted ops at this period";
+  ASSERT_GT(shifted, 0u) << "the fixture must have a shifted op";
   const std::string one = chrome_trace(f, 1);
-  const std::string four = chrome_trace(f, 4);
-  EXPECT_LT(one.size(), four.size());
+  std::size_t events = 0;
+  for (std::size_t at = one.find("\"ph\":\"X\""); at != std::string::npos;
+       at = one.find("\"ph\":\"X\"", at + 1)) {
+    ++events;
+  }
+  EXPECT_EQ(events, unshifted);
+  EXPECT_EQ(one.find("\"batch\":-"), std::string::npos);
 }
 
 TEST(ChromeTrace, RejectsZeroPeriods) {

@@ -637,7 +637,7 @@ int cmd_plan(const Args& args, bool simulate) {
   if (!args.trace_path.empty()) {
     write_file(args.trace_path,
                report::timeline_to_chrome_json(plan->pattern,
-                                               plan->allocation, plan_chain));
+                                               plan->allocation));
     std::printf("chrome trace -> %s (open in chrome://tracing)\n",
                 args.trace_path.c_str());
   }
@@ -739,7 +739,7 @@ int cmd_explain(const Args& args) {
   if (!args.timeline_out.empty()) {
     write_file(args.timeline_out,
                report::timeline_to_chrome_json(plan->pattern, plan->allocation,
-                                               plan_chain, {args.periods}));
+                                               {args.periods}));
     std::printf("timeline -> %s (%d periods; open in chrome://tracing)\n",
                 args.timeline_out.c_str(), args.periods);
   }
