@@ -217,6 +217,62 @@ TEST(ServeRequest, CanonicalChainPlansLikeTheOriginal) {
   }
 }
 
+/// Two layers with values that exercise every hex digit position; the
+/// memory (3 GB) and total compute (12 ms) are not powers of two, so the
+/// normalized key's units are non-trivial.
+PlanRequest golden_request() {
+  std::vector<Layer> layers(2);
+  layers[0].name = "embed";
+  layers[0].forward_time = ms(3.5);
+  layers[0].backward_time = ms(6.25);
+  layers[0].weight_bytes = 48 * MB;
+  layers[0].output_bytes = 12 * MB;
+  layers[1].name = "head";
+  layers[1].forward_time = ms(0.75);
+  layers[1].backward_time = ms(1.5);
+  layers[1].weight_bytes = 0.1 * MB;
+  layers[1].output_bytes = 1e3;
+  layers[1].scratch_bytes = 7 * MB;
+  return PlanRequest{"golden", Chain("golden", 3 * MB, std::move(layers)),
+                     Platform{4, 3 * GB, 12 * GB}, MadPipeOptions{}, 0.0};
+}
+
+TEST(ServeRequest, FingerprintGolden) {
+  // Pins the fingerprint bytes and the 64-bit key: a madpipe-cachesnap-v1
+  // file stores both, and its entries only hit while a request rebuilds the
+  // same fingerprint.
+  const CanonicalRequest normalized = canonicalize(golden_request());
+  ASSERT_TRUE(normalized.normalized);
+  EXPECT_EQ(normalized.fingerprint,
+            "madpipe-serve-key-v2|1|4|2|10|101|11|51|0|0|1|80000000|"
+            "3f50624dd2f1a9fc,28|60000|10|"
+            "3ff65a0bc0000000,3fa65a0bc0000000,3f56e36000000000,layers:"
+            "3fdcac083126e979,3fe999999999999a,3f96e36000000000,"
+            "3f76e36000000000,0000000000000000,;"
+            "3fb89374bc6a7efa,3fc89374bc6a7efa,3f086a0000000000,"
+            "3e9f400000000000,3f6ab3f000000000,;");
+  EXPECT_EQ(normalized.key, 15920753821393232165ull);
+
+  // A smallest-subnormal scratch size cannot be divided by the byte unit
+  // (2^31) exactly: the exact-key fallback serializes the raw bits.
+  PlanRequest exact = golden_request();
+  std::vector<Layer> layers{exact.chain.layer(1), exact.chain.layer(2)};
+  layers[1].scratch_bytes = 5e-324;
+  exact.chain = Chain("golden", exact.chain.activation(0), std::move(layers));
+  exact.options.phase1.dp.allow_special = false;
+  const CanonicalRequest fallback = canonicalize(exact);
+  ASSERT_FALSE(fallback.normalized);
+  EXPECT_EQ(fallback.fingerprint,
+            "madpipe-serve-key-v2|0|4|2|10|101|11|51|0|0|0|80000000|"
+            "3f50624dd2f1a9fc,28|60000|10|"
+            "41e65a0bc0000000,42065a0bc0000000,4146e36000000000,layers:"
+            "3f6cac083126e979,3f7999999999999a,4186e36000000000,"
+            "4166e36000000000,0000000000000000,;"
+            "3f489374bc6a7efa,3f589374bc6a7efa,40f86a0000000000,"
+            "408f400000000000,0000000000000001,;");
+  EXPECT_EQ(fallback.key, 503834061138783160ull);
+}
+
 TEST(ServeRequest, PlansBitIdenticalDetectsDifferences) {
   MadPipeOptions options;
   options.phase1.dp.grid = Discretization::coarse();
