@@ -9,6 +9,7 @@
 // all errors, never warnings.
 #include <cmath>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -30,19 +31,29 @@ ProfileParseResult fail(const std::string& path, const std::string& message) {
   return result;
 }
 
-/// Required non-negative finite number at `path`; writes into `out` and
-/// returns an empty string, or the error message.
-std::string read_number_field(const json::Value& object, const char* key,
-                             const std::string& path, double* out) {
+/// Reads the required non-negative finite number `key` of `object` into
+/// `out`; returns nullptr, or the error message for the field's path.
+const char* read_number_field(const json::Value& object, const char* key,
+                              double* out) {
   const json::Value* field = object.find(key);
-  if (field == nullptr) return at_path(path, "missing required field");
-  if (!field->is_number()) return at_path(path, "must be a number");
+  if (field == nullptr) return "missing required field";
+  if (!field->is_number()) return "must be a number";
   const double v = field->as_number();
   if (v < 0.0 || !std::isfinite(v)) {
-    return at_path(path, "must be a non-negative finite number");
+    return "must be a non-negative finite number";
   }
   *out = v;
-  return {};
+  return nullptr;
+}
+
+/// "layers[i]" or "layers[i].key": built only for an error message.
+std::string layer_path(std::size_t i, std::string_view key = {}) {
+  std::string path = "layers[" + std::to_string(i) + "]";
+  if (!key.empty()) {
+    path += '.';
+    path += key;
+  }
+  return path;
 }
 }  // namespace
 
@@ -118,12 +129,8 @@ ProfileParseResult try_profile_from_json_string(
     }
 
     Bytes input_bytes = 0.0;
-    if (std::string err =
-            read_number_field(root, "input_bytes", "input_bytes", &input_bytes);
-        !err.empty()) {
-      ProfileParseResult result;
-      result.error = std::move(err);
-      return result;
+    if (const char* err = read_number_field(root, "input_bytes", &input_bytes)) {
+      return fail("input_bytes", err);
     }
 
     const json::Value* layers_field = root.find("layers");
@@ -139,29 +146,30 @@ ProfileParseResult try_profile_from_json_string(
 
     std::vector<Layer> layers;
     layers.reserve(items.size());
-    std::unordered_set<std::string> seen_names;
+    // Views into the parsed document, which outlives the loop.
+    std::unordered_set<std::string_view> seen_names;
+    seen_names.reserve(items.size());
     for (std::size_t i = 0; i < items.size(); ++i) {
-      const std::string path = "layers[" + std::to_string(i) + "]";
       const json::Value& item = items[i];
-      if (!item.is_object()) return fail(path, "must be an object");
+      if (!item.is_object()) return fail(layer_path(i), "must be an object");
       for (const auto& [key, value] : item.members()) {
         if (key != "name" && key != "forward_seconds" &&
             key != "backward_seconds" && key != "weight_bytes" &&
             key != "output_bytes" && key != "scratch_bytes") {
-          return fail(path + "." + key, "unknown field");
+          return fail(layer_path(i, key), "unknown field");
         }
       }
       Layer layer;
       const json::Value* layer_name = item.find("name");
       if (layer_name == nullptr || !layer_name->is_string() ||
           layer_name->as_string().empty()) {
-        return fail(path + ".name", "must be a non-empty string");
+        return fail(layer_path(i, "name"), "must be a non-empty string");
+      }
+      if (!seen_names.insert(layer_name->as_string()).second) {
+        return fail(layer_path(i, "name"), "duplicate layer id '" +
+                                               layer_name->as_string() + "'");
       }
       layer.name = layer_name->as_string();
-      if (!seen_names.insert(layer.name).second) {
-        return fail(path + ".name",
-                    "duplicate layer id '" + layer.name + "'");
-      }
       struct Field {
         const char* key;
         double* slot;
@@ -171,24 +179,14 @@ ProfileParseResult try_profile_from_json_string(
             Field{"backward_seconds", &layer.backward_time},
             Field{"weight_bytes", &layer.weight_bytes},
             Field{"output_bytes", &layer.output_bytes}}) {
-        if (std::string err =
-                read_number_field(item, f.key, path + "." + f.key, f.slot);
-            !err.empty()) {
-          ProfileParseResult result;
-          result.error = std::move(err);
-          return result;
+        if (const char* err = read_number_field(item, f.key, f.slot)) {
+          return fail(layer_path(i, f.key), err);
         }
       }
-      if (const json::Value* scratch = item.find("scratch_bytes");
-          scratch != nullptr) {
-        if (std::string err =
-                read_number_field(item, "scratch_bytes",
-                                 path + ".scratch_bytes",
-                                 &layer.scratch_bytes);
-            !err.empty()) {
-          ProfileParseResult result;
-          result.error = std::move(err);
-          return result;
+      if (item.find("scratch_bytes") != nullptr) {
+        if (const char* err =
+                read_number_field(item, "scratch_bytes", &layer.scratch_bytes)) {
+          return fail(layer_path(i, "scratch_bytes"), err);
         }
       }
       layers.push_back(std::move(layer));

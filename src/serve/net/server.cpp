@@ -7,7 +7,6 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -155,11 +154,15 @@ struct NetServer::Impl {
   }
 
   void dispatch_loop() {
-    // Frame-text → parsed request memo. Hit traffic repeats frames
-    // verbatim; skipping the JSON parse on repeats is what lets the hit
-    // path hold six-figure request rates. Frames naming a profile_file are
-    // never memoized (the parse reads the filesystem, it is not pure).
-    std::unordered_map<std::string, PlanRequest> memo;
+    // Frame-text → prepared request memo. Hit traffic repeats frames
+    // verbatim; a repeat skips the JSON parse and the cache key and shares
+    // the one prepared request, const, with every submission of the frame.
+    // Only frames that hit are memoized: a miss is most often a novel
+    // request that never comes back, and a frame that does come back is
+    // memoized on its first hit. Frames naming a profile_file are never
+    // memoized (the parse reads the filesystem, it is not pure).
+    std::unordered_map<std::string, std::shared_ptr<const PreparedRequest>>
+        memo;
     constexpr std::size_t kMemoCap = 4096;
     while (true) {
       Work work;
@@ -177,11 +180,11 @@ struct NetServer::Impl {
       obs::TraceContextScope trace_scope(work.trace_id);
       obs::Span span("net_dispatch", obs::kCatServe);
 
-      const PlanRequest* request = nullptr;
-      std::optional<PlanRequest> parsed;
+      std::shared_ptr<const PreparedRequest> prepared;
       const auto memo_it = memo.find(work.frame);
-      if (memo_it != memo.end()) {
-        request = &memo_it->second;
+      const bool memoized = memo_it != memo.end();
+      if (memoized) {
+        prepared = memo_it->second;
         span.arg("memo", 1);
       } else {
         BatchParse batch = parse_requests(work.frame);
@@ -203,31 +206,26 @@ struct NetServer::Impl {
           push_completion(work.conn, work.seq, response_to_json(failure));
           continue;
         }
-        parsed.emplace(std::move(*batch.requests[0].request));
-        if (work.frame.find("profile_file") == std::string::npos) {
-          if (memo.size() >= kMemoCap) memo.clear();
-          request = &memo.emplace(std::move(work.frame), std::move(*parsed))
-                         .first->second;
-        } else {
-          request = &*parsed;
-        }
+        prepared = std::make_shared<const PreparedRequest>(
+            prepare(std::move(*batch.requests[0].request)));
       }
 
       const std::uint64_t conn = work.conn;
       const std::uint64_t seq = work.seq;
-      // Stamp the per-frame trace context onto this submission's copy of
-      // the (possibly memoized, shared) request. submit_async takes the
-      // request by value either way, so this copy is not an extra one.
-      PlanRequest submitted = *request;
-      submitted.trace_id = work.trace_id;
-      submitted.ingress_ns = work.ingress_ns;
-      // The callback fires on this thread for hits/rejections and on a
-      // planner worker for misses; push_completion is safe from both.
-      service.submit_async(std::move(submitted),
-                           [this, conn, seq](PlanResponse&& response) {
-                             push_completion(conn, seq,
-                                             response_to_json(response));
-                           });
+      // The trace id and ingress time are per frame, so they travel beside
+      // the shared prepared request. The callback fires on this thread for
+      // hits/rejections and on a planner worker for misses; push_completion
+      // is safe from both.
+      const CacheOutcome outcome = service.submit_prepared(
+          prepared, work.trace_id, work.ingress_ns,
+          [this, conn, seq](PlanResponse&& response) {
+            push_completion(conn, seq, response_to_json(response));
+          });
+      if (!memoized && outcome == CacheOutcome::Hit &&
+          work.frame.find("profile_file") == std::string::npos) {
+        if (memo.size() >= kMemoCap) memo.clear();
+        memo.emplace(std::move(work.frame), std::move(prepared));
+      }
     }
   }
 
@@ -384,7 +382,7 @@ struct NetServer::Impl {
     counters.frames.add();
     // Ingress: every frame — even one shed right here — gets a trace id,
     // echoed in its response. The id and the admission timestamp travel
-    // with the Work item (NOT inside the memoized PlanRequest: the frame
+    // with the Work item (NOT inside the memoized PreparedRequest: the frame
     // memo is shared across repeats, the trace context is per-request).
     const std::uint64_t trace_id = obs::next_trace_id();
     const std::int64_t ingress_ns = obs::now_ns();

@@ -10,12 +10,13 @@
 //   * one event-loop thread owns every socket and all connection state
 //     (epoll, non-blocking accept/read/write, buffered framing);
 //   * a pool of dispatch workers does the per-frame work the loop must not
-//     block on — JSON parse, PlanService::submit_async, response
-//     serialization. Cache hits complete synchronously on the dispatch
-//     thread; misses complete later on a planner worker. Either way the
-//     finished line lands in a completion queue and an eventfd wake hands
-//     it back to the loop thread, which slots it into the connection's
-//     in-order response window and flushes.
+//     block on — JSON parse and cache key (both skipped on a verbatim
+//     repeat), PlanService::submit_prepared, response serialization. Cache
+//     hits complete synchronously on the dispatch thread; misses complete
+//     later on a planner worker. Either way the finished line lands in a
+//     completion queue and an eventfd wake hands it back to the loop
+//     thread, which slots it into the connection's in-order response
+//     window and flushes.
 //
 // Admission control (applied on the loop thread, before parse cost):
 //   * per-connection token bucket (tokens_per_second/token_burst) — a

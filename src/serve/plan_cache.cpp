@@ -118,8 +118,7 @@ ShardedPlanCache::Shard& ShardedPlanCache::shard_for(std::uint64_t key) const {
   return *shards_[(key >> 56) & shard_mask_];
 }
 
-std::optional<CachedPlan> ShardedPlanCache::find(
-    const CanonicalRequest& request) {
+std::optional<CachedPlan> ShardedPlanCache::find(const CacheKey& request) {
   Shard& shard = shard_for(request.key);
   const std::lock_guard<std::mutex> lock(shard.mutex);
   const std::uint32_t* slot = shard.index.find(request.key);
@@ -146,7 +145,7 @@ std::optional<CachedPlan> ShardedPlanCache::find(
   return shard.slab[index].cached;
 }
 
-void ShardedPlanCache::insert(const CanonicalRequest& request,
+void ShardedPlanCache::insert(const CacheKey& request,
                               const CachedPlan& cached) {
   insert_raw(request.key, request.fingerprint, cached);
 }

@@ -66,16 +66,16 @@ class ShardedPlanCache {
 
   /// Look up the canonical key; a hit refreshes LRU recency. The fingerprint
   /// is verified, TTL-expired entries are dropped on sight.
-  std::optional<CachedPlan> find(const CanonicalRequest& request);
+  std::optional<CachedPlan> find(const CacheKey& request);
 
   /// Insert (or overwrite) the entry for `request`, then evict LRU tails
   /// until the shard is back under its byte budget. The newest entry always
   /// survives, even when it alone exceeds the budget.
-  void insert(const CanonicalRequest& request, const CachedPlan& cached);
+  void insert(const CacheKey& request, const CachedPlan& cached);
 
   /// Insert under an explicit key/fingerprint pair — the snapshot-restore
-  /// path, where entries arrive from disk instead of from a canonicalized
-  /// request. Identical semantics to insert() otherwise.
+  /// path, where entries arrive from disk instead of from a request's
+  /// cache key. Identical semantics to insert() otherwise.
   void insert_raw(std::uint64_t key, const std::string& fingerprint,
                   const CachedPlan& cached);
 

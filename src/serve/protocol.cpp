@@ -30,7 +30,7 @@ bool known_field(const std::string& key, const char* const* allowed,
 }
 
 /// Per-request option knobs: a strict subset of MadPipeOptions (all fields
-/// that are part of the cache key; the speculation/workers knobs are
+/// that are part of the cache key; the speculation widths are
 /// result-invariant and stay server-side), plus the serve-level `timings`
 /// and `explain` flags (request a phase-timing block / an ExplainSummary in
 /// the response — never part of the cache key, they cannot change the plan).
@@ -49,10 +49,12 @@ std::string parse_options(const json::Value& value, MadPipeOptions* options,
     options->phase1.iterations = iterations;
   }
   if (const json::Value* v = value.find("max_states")) {
-    if (!v->is_number() || v->as_number() < 1)
-      return "options.max_states must be a positive number";
-    options->phase1.dp.max_states =
-        static_cast<std::size_t>(v->as_number());
+    // Converting a double at or past 2^64 to size_t is undefined, so the
+    // range is checked before the cast.
+    const double d = v->is_number() ? v->as_number() : 0.0;
+    if (!(d >= 1.0 && d < 0x1p64 && d == std::floor(d)))
+      return "options.max_states must be an integer in [1, 2^64)";
+    options->phase1.dp.max_states = static_cast<std::size_t>(d);
   }
   if (const json::Value* v = value.find("relative_precision")) {
     if (!v->is_number() || !(v->as_number() > 0.0))

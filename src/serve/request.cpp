@@ -1,9 +1,10 @@
 #include "serve/request.hpp"
 
 #include <bit>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
+#include "obs/trace.hpp"
 #include "util/flat_hash.hpp"
 
 namespace madpipe::serve {
@@ -28,16 +29,23 @@ std::optional<double> exact_div(double v, double unit) {
   return scaled;
 }
 
+/// The bits of `v` as 16 lowercase hex digits (what "%016llx" prints), then
+/// ','.
 void append_bits(std::string& out, double v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
-  out += buf;
-  out += ',';
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+  char buf[17];
+  for (int i = 15; i >= 0; --i) {
+    buf[i] = kHex[bits & 0xf];
+    bits >>= 4;
+  }
+  buf[16] = ',';
+  out.append(buf, sizeof(buf));
 }
 
 void append_int(std::string& out, long long v) {
-  out += std::to_string(v);
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
   out += '|';
 }
 
@@ -60,6 +68,58 @@ void append_options(std::string& out, const MadPipeOptions& o) {
   append_int(out, o.phase2.bb.max_candidates_per_op);
 }
 
+/// The power-of-two units that normalize `chain` on `platform` exactly, or
+/// nullopt when some value defeats exact normalization (a zero/non-finite
+/// total, memory or bandwidth; a quotient that underflows or overflows).
+std::optional<std::pair<double, double>> normalizing_units(
+    const Chain& chain, const Platform& platform) {
+  const Seconds total = chain.total_compute();
+  const Bytes memory = platform.memory_per_processor;
+  if (!(total > 0.0 && std::isfinite(total) && memory > 0.0 &&
+        std::isfinite(memory) && platform.bandwidth > 0.0 &&
+        std::isfinite(platform.bandwidth))) {
+    return std::nullopt;
+  }
+  const double time_unit = pow2_floor(total);
+  const double byte_unit = pow2_floor(memory);
+  const auto time_ok = [&](double v) {
+    return exact_div(v, time_unit).has_value();
+  };
+  const auto bytes_ok = [&](double v) {
+    return exact_div(v, byte_unit).has_value();
+  };
+  for (int l = 1; l <= chain.length(); ++l) {
+    const Layer& layer = chain.layer(l);
+    if (!time_ok(layer.forward_time) || !time_ok(layer.backward_time) ||
+        !bytes_ok(layer.weight_bytes) || !bytes_ok(layer.output_bytes) ||
+        !bytes_ok(layer.scratch_bytes)) {
+      return std::nullopt;
+    }
+  }
+  // β is bytes/second: scale bytes down by byte_unit and seconds down by
+  // time_unit, so β' = β · time_unit / byte_unit (two exact shifts).
+  const auto bw = exact_div(platform.bandwidth * time_unit, byte_unit);
+  const bool bandwidth_ok = bw.has_value() && std::isfinite(*bw) &&
+                            *bw * byte_unit / time_unit == platform.bandwidth;
+  if (!bytes_ok(chain.activation(0)) || !bytes_ok(memory) || !bandwidth_ok) {
+    return std::nullopt;
+  }
+  return std::pair{time_unit, byte_unit};
+}
+
+/// Raw value → canonical value under `key`. The exact-key fallback passes
+/// raw values through untouched (bit for bit).
+struct Scale {
+  const CacheKey& key;
+  double time(double v) const { return key.normalized ? v / key.time_unit : v; }
+  double bytes(double v) const {
+    return key.normalized ? v / key.byte_unit : v;
+  }
+  double bandwidth(double v) const {
+    return key.normalized ? v * key.time_unit / key.byte_unit : v;
+  }
+};
+
 }  // namespace
 
 std::uint64_t fingerprint_digest(const std::string& fingerprint) {
@@ -73,112 +133,74 @@ std::uint64_t fingerprint_digest(const std::string& fingerprint) {
   return h == ~0ull ? 0ull : h;
 }
 
-CanonicalRequest canonicalize(const PlanRequest& request) {
+CacheKey cache_key(const PlanRequest& request) {
   const Chain& chain = request.chain;
   const Platform& platform = request.platform;
-  const Seconds total = chain.total_compute();
-  const Bytes memory = platform.memory_per_processor;
-
-  double time_unit = 1.0;
-  double byte_unit = 1.0;
-  bool normalized = false;
-  std::vector<Layer> layers;
-  layers.reserve(static_cast<std::size_t>(chain.length()));
-  Bytes input_bytes = chain.activation(0);
-  Platform canonical_platform = platform;
-
-  if (total > 0.0 && std::isfinite(total) && memory > 0.0 &&
-      std::isfinite(memory) && platform.bandwidth > 0.0 &&
-      std::isfinite(platform.bandwidth)) {
-    time_unit = pow2_floor(total);
-    byte_unit = pow2_floor(memory);
-    normalized = true;
-    const auto scale_bytes = [&](double v) { return exact_div(v, byte_unit); };
-    const auto scale_time = [&](double v) { return exact_div(v, time_unit); };
-
-    for (int l = 1; l <= chain.length() && normalized; ++l) {
-      const Layer& raw = chain.layer(l);
-      Layer layer;
-      layer.name = 'l' + std::to_string(l);
-      const auto f = scale_time(raw.forward_time);
-      const auto b = scale_time(raw.backward_time);
-      const auto w = scale_bytes(raw.weight_bytes);
-      const auto a = scale_bytes(raw.output_bytes);
-      const auto s = scale_bytes(raw.scratch_bytes);
-      if (!f || !b || !w || !a || !s) {
-        normalized = false;
-        break;
-      }
-      layer.forward_time = *f;
-      layer.backward_time = *b;
-      layer.weight_bytes = *w;
-      layer.output_bytes = *a;
-      layer.scratch_bytes = *s;
-      layers.push_back(std::move(layer));
-    }
-    const auto in = scale_bytes(chain.activation(0));
-    const auto mem = scale_bytes(memory);
-    // β is bytes/second: scale bytes down by byte_unit and seconds down by
-    // time_unit, so β' = β · time_unit / byte_unit (two exact shifts).
-    const auto bw = exact_div(platform.bandwidth * time_unit, byte_unit);
-    const bool bandwidth_ok =
-        bw.has_value() && std::isfinite(*bw) &&
-        *bw * byte_unit / time_unit == platform.bandwidth;
-    if (!in || !mem || !bandwidth_ok) normalized = false;
-    if (normalized) {
-      input_bytes = *in;
-      canonical_platform.memory_per_processor = *mem;
-      canonical_platform.bandwidth = *bw;
-    }
+  CacheKey key;
+  if (const auto units = normalizing_units(chain, platform)) {
+    key.time_unit = units->first;
+    key.byte_unit = units->second;
+    key.normalized = true;
   }
-
-  if (!normalized) {
-    // Exact-key fallback: raw values, unit factors 1. Names are still
-    // dropped — they never influence planning, so requests differing only
-    // in names must share an entry in this mode too.
-    time_unit = 1.0;
-    byte_unit = 1.0;
-    layers.clear();
-    for (int l = 1; l <= chain.length(); ++l) {
-      Layer layer = chain.layer(l);
-      layer.name = 'l' + std::to_string(l);
-      layers.push_back(std::move(layer));
-    }
-    input_bytes = chain.activation(0);
-    canonical_platform = platform;
-  }
-
-  CanonicalRequest canonical{
-      Chain("canonical", input_bytes, std::move(layers)),
-      canonical_platform,
-      time_unit,
-      byte_unit,
-      normalized,
-      std::string(),
-      0};
-
-  std::string& fp = canonical.fingerprint;
-  fp.reserve(96 + static_cast<std::size_t>(chain.length()) * 85);
+  // Names are dropped in both modes: they never influence planning, so
+  // requests differing only in names must share an entry.
+  const Scale scale{key};
+  std::string& fp = key.fingerprint;
+  fp.reserve(192 + static_cast<std::size_t>(chain.length()) * 86);
   fp = "madpipe-serve-key-v2|";
-  append_int(fp, normalized ? 1 : 0);
+  append_int(fp, key.normalized ? 1 : 0);
   append_int(fp, platform.processors);
   append_int(fp, chain.length());
   append_options(fp, request.options);
-  append_bits(fp, canonical.platform.memory_per_processor);
-  append_bits(fp, canonical.platform.bandwidth);
-  append_bits(fp, canonical.chain.activation(0));
+  append_bits(fp, scale.bytes(platform.memory_per_processor));
+  append_bits(fp, scale.bandwidth(platform.bandwidth));
+  append_bits(fp, scale.bytes(chain.activation(0)));
   fp += "layers:";
-  for (int l = 1; l <= canonical.chain.length(); ++l) {
-    const Layer& layer = canonical.chain.layer(l);
-    append_bits(fp, layer.forward_time);
-    append_bits(fp, layer.backward_time);
-    append_bits(fp, layer.weight_bytes);
-    append_bits(fp, layer.output_bytes);
-    append_bits(fp, layer.scratch_bytes);
+  for (int l = 1; l <= chain.length(); ++l) {
+    const Layer& layer = chain.layer(l);
+    append_bits(fp, scale.time(layer.forward_time));
+    append_bits(fp, scale.time(layer.backward_time));
+    append_bits(fp, scale.bytes(layer.weight_bytes));
+    append_bits(fp, scale.bytes(layer.output_bytes));
+    append_bits(fp, scale.bytes(layer.scratch_bytes));
     fp += ';';
   }
-  canonical.key = fingerprint_digest(fp);
-  return canonical;
+  key.key = fingerprint_digest(fp);
+  return key;
+}
+
+CanonicalRequest canonicalize(const PlanRequest& request, CacheKey key) {
+  const Chain& chain = request.chain;
+  const Scale scale{key};
+  std::vector<Layer> layers;
+  layers.reserve(static_cast<std::size_t>(chain.length()));
+  for (int l = 1; l <= chain.length(); ++l) {
+    const Layer& raw = chain.layer(l);
+    Layer layer;
+    layer.name = 'l' + std::to_string(l);
+    layer.forward_time = scale.time(raw.forward_time);
+    layer.backward_time = scale.time(raw.backward_time);
+    layer.weight_bytes = scale.bytes(raw.weight_bytes);
+    layer.output_bytes = scale.bytes(raw.output_bytes);
+    layer.scratch_bytes = scale.bytes(raw.scratch_bytes);
+    layers.push_back(std::move(layer));
+  }
+  Platform platform = request.platform;
+  platform.memory_per_processor = scale.bytes(platform.memory_per_processor);
+  platform.bandwidth = scale.bandwidth(platform.bandwidth);
+  Chain canonical("canonical", scale.bytes(chain.activation(0)),
+                  std::move(layers));
+  return CanonicalRequest{std::move(key), std::move(canonical), platform};
+}
+
+CanonicalRequest canonicalize(const PlanRequest& request) {
+  return canonicalize(request, cache_key(request));
+}
+
+PreparedRequest prepare(PlanRequest request) {
+  obs::Span span("serve_prepare", obs::kCatServe);
+  CacheKey key = cache_key(request);
+  return PreparedRequest{std::move(request), std::move(key)};
 }
 
 Plan denormalize_plan(Plan plan, double time_unit) {

@@ -1,8 +1,9 @@
 // Plan requests and their canonical cache keys.
 //
 // A PlanRequest bundles everything `plan_madpipe` needs — profile, platform
-// {P, M, β} and options — plus serve-level fields (id, deadline). Canonicalization turns a request into a cache key by
-// normalizing the profile into canonical units:
+// {P, M, β} and options — plus serve-level fields (id, deadline).
+// Canonicalization turns a request into a cache key by normalizing the
+// profile into canonical units:
 //
 //  * the time unit is 2^floor(log2(U(1,L))) and every duration is divided
 //    by it, so the total compute lands in [1, 2);
@@ -26,6 +27,10 @@
 // scaled form underflows, a rescale that fails the round-trip check — falls
 // back to an exact key over the raw bits (`normalized == false`), which is
 // always correct, just less shareable.
+//
+// The key and the normalized profile are computed apart: cache_key() writes
+// the fingerprint straight from the raw chain, and canonicalize() builds the
+// canonical Chain the planner runs on, which only a cache miss needs.
 #pragma once
 
 #include <cstdint>
@@ -61,21 +66,22 @@ struct PlanRequest {
   /// `options.explain`. Like `timings`, excluded from the cache key:
   /// explaining a plan never changes it.
   bool report_explain = false;
-  /// Request trace id, assigned at ingress (the TCP server stamps it per
-  /// frame; PlanService assigns one if still 0). Echoed in the response
-  /// and stamped onto every span the request produces. Like `id`,
-  /// cache-key-inert: tracing never changes the plan.
+  /// Request trace id, assigned at ingress (PlanService::submit_async
+  /// assigns one if still 0; the TCP server passes one per frame to
+  /// submit_prepared instead). Echoed in the response and stamped onto
+  /// every span the request produces. Like `id`, cache-key-inert: tracing
+  /// never changes the plan.
   std::uint64_t trace_id = 0;
   /// Ingress timestamp (obs::now_ns), 0 = unknown. Start of the sampled
   /// request's admission phase; never part of the cache key.
   std::int64_t ingress_ns = 0;
 };
 
-/// A canonicalized request: the normalized profile/platform the planner
-/// actually runs on, the units to undo the normalization, and the cache key.
-struct CanonicalRequest {
-  Chain chain;        ///< normalized profile (canonical units, names dropped)
-  Platform platform;  ///< normalized platform
+/// The cache identity of a request: the power-of-two units that map it onto
+/// canonical units, the canonical fingerprint and its 64-bit digest.
+/// Computed by cache_key() straight from the request's own chain, so a cache
+/// hit never builds a canonical Chain.
+struct CacheKey {
   double time_unit = 1.0;  ///< multiply canonical times by this to denormalize
   double byte_unit = 1.0;
   bool normalized = false;  ///< false → exact-key fallback (units are 1.0)
@@ -83,9 +89,37 @@ struct CanonicalRequest {
   std::uint64_t key = 0;    ///< 64-bit digest of the fingerprint
 };
 
-/// Build the canonical form of `request`. Never fails: inputs that defeat
-/// exact normalization get the exact-key fallback.
+/// A canonicalized request: its cache key plus the normalized
+/// profile/platform the planner actually runs on.
+struct CanonicalRequest : CacheKey {
+  Chain chain;        ///< normalized profile (canonical units, names dropped)
+  Platform platform;  ///< normalized platform
+};
+
+/// A request with its cache key computed once: what PlanService serves. The
+/// TCP front-end keeps one per distinct frame and shares it, const, across
+/// every verbatim repeat, so a repeat pays neither a parse nor a key.
+/// `request.trace_id`/`ingress_ns` are not read: each submission of a
+/// prepared request carries its own.
+struct PreparedRequest {
+  PlanRequest request;
+  CacheKey key;
+};
+
+/// The cache key of `request`. Never fails: inputs that defeat exact
+/// normalization get the exact-key fallback.
+CacheKey cache_key(const PlanRequest& request);
+
+/// The canonical form of `request` under `key`, which must be
+/// cache_key(request): the chain and platform divided by the key's units.
+/// Only a request that misses the cache needs this.
+CanonicalRequest canonicalize(const PlanRequest& request, CacheKey key);
+
+/// canonicalize(request, cache_key(request)).
 CanonicalRequest canonicalize(const PlanRequest& request);
+
+/// Bundle `request` with its cache key.
+PreparedRequest prepare(PlanRequest request);
 
 /// The 64-bit cache key of a canonical fingerprint (FNV-1a + mix; the
 /// all-ones sentinel remapped). Exposed so the cache-snapshot loader can

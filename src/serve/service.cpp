@@ -87,33 +87,59 @@ PlanService::~PlanService() {
       timings.cache_seconds = waiter->cache_seconds;
       if (waiter->report_timings) response.phases = timings;
       sample_completion(*waiter, response, timings);
-      deliver(*waiter, std::move(response));
+      waiter->callback(std::move(response));
     }
   }
   counters_.queue_depth.set(0.0);
   for (std::thread& worker : workers_) worker.join();
 }
 
+namespace {
+
+/// Ingress bookkeeping shared by both submission entries: requests that
+/// arrived without a trace id or ingress time (batch lines, direct API
+/// callers) get them here — the TCP front-end stamps its own at frame
+/// admission — and a sampled request's record opens.
+void begin_request(std::uint64_t& trace_id, std::int64_t& ingress_ns) {
+  if (trace_id == 0) trace_id = obs::next_trace_id();
+  if (ingress_ns == 0) ingress_ns = obs::now_ns();
+  if (obs::tail_enabled()) obs::tail_sampler().begin(trace_id, ingress_ns);
+}
+
+}  // namespace
+
 std::future<PlanResponse> PlanService::submit(PlanRequest request) {
-  auto waiter = std::make_unique<Waiter>();
-  std::future<PlanResponse> future = waiter->promise.get_future();
-  submit_impl(std::move(request), std::move(waiter));
+  auto promise = std::make_shared<std::promise<PlanResponse>>();
+  std::future<PlanResponse> future = promise->get_future();
+  submit_async(std::move(request), [promise](PlanResponse&& response) {
+    promise->set_value(std::move(response));
+  });
   return future;
 }
 
 void PlanService::submit_async(PlanRequest request,
                                ResponseCallback callback) {
-  auto waiter = std::make_unique<Waiter>();
-  waiter->callback = std::move(callback);
-  submit_impl(std::move(request), std::move(waiter));
+  const Clock::time_point submitted = Clock::now();
+  std::uint64_t trace_id = request.trace_id;
+  std::int64_t ingress_ns = request.ingress_ns;
+  begin_request(trace_id, ingress_ns);
+  // Everything this request does — on this thread and on the planner
+  // worker — runs under a TraceContextScope carrying the id.
+  obs::TraceContextScope trace_scope(trace_id);
+  auto prepared =
+      std::make_shared<const PreparedRequest>(prepare(std::move(request)));
+  submit_impl(prepared, trace_id, ingress_ns, submitted, std::move(callback));
 }
 
-void PlanService::deliver(Waiter& waiter, PlanResponse&& response) {
-  if (waiter.callback) {
-    waiter.callback(std::move(response));
-  } else {
-    waiter.promise.set_value(std::move(response));
-  }
+CacheOutcome PlanService::submit_prepared(
+    const std::shared_ptr<const PreparedRequest>& prepared,
+    std::uint64_t trace_id, std::int64_t ingress_ns,
+    ResponseCallback callback) {
+  const Clock::time_point submitted = Clock::now();
+  begin_request(trace_id, ingress_ns);
+  obs::TraceContextScope trace_scope(trace_id);
+  return submit_impl(prepared, trace_id, ingress_ns, submitted,
+                     std::move(callback));
 }
 
 std::size_t PlanService::queue_depth() const {
@@ -121,51 +147,45 @@ std::size_t PlanService::queue_depth() const {
   return queue_.size();
 }
 
-void PlanService::submit_impl(PlanRequest request,
-                              std::unique_ptr<Waiter> waiter) {
-  const Clock::time_point submitted = Clock::now();
-  // Ingress: requests that arrived without a trace id (batch lines, direct
-  // API callers) get one here; the TCP front-end stamps its own at frame
-  // admission. Everything this request does — on this thread and on the
-  // planner worker — runs under a TraceContextScope carrying the id.
-  if (request.trace_id == 0) request.trace_id = obs::next_trace_id();
-  if (request.ingress_ns == 0) request.ingress_ns = obs::now_ns();
-  const bool sampling = obs::tail_enabled();
-  if (sampling) obs::tail_sampler().begin(request.trace_id, request.ingress_ns);
-  obs::TraceContextScope trace_scope(request.trace_id);
+CacheOutcome PlanService::submit_impl(
+    const std::shared_ptr<const PreparedRequest>& prepared,
+    std::uint64_t trace_id, std::int64_t ingress_ns,
+    Clock::time_point submitted, ResponseCallback callback) {
+  const PlanRequest& request = prepared->request;
+  const CacheKey& key = prepared->key;
+  auto waiter = std::make_unique<Waiter>();
+  waiter->callback = std::move(callback);
   // The span lives in an optional so the hit/reject paths can close it
   // *before* sampling + delivery: a sampled tree must contain its own
   // serve_submit span.
   std::optional<obs::Span> span;
   span.emplace("serve_submit", obs::kCatServe);
-  std::optional<CachedPlan> cached;
-  CanonicalRequest canonical = [&] {
+  std::optional<CachedPlan> cached = [&] {
     obs::Span lookup("cache_lookup", obs::kCatServe);
-    CanonicalRequest result = canonicalize(request);
-    cached = cache_.find(result);
-    lookup.arg("hit", cached.has_value() ? 1 : 0);
+    std::optional<CachedPlan> result = cache_.find(key);
+    lookup.arg("hit", result.has_value() ? 1 : 0);
     return result;
   }();
   const double cache_seconds = seconds_since(submitted);
   const double admission_seconds =
-      static_cast<double>(obs::now_ns() - request.ingress_ns) * 1e-9;
+      static_cast<double>(obs::now_ns() - ingress_ns) * 1e-9;
   counters_.requests.add();
   waiter->id = request.id;
-  waiter->trace_id = request.trace_id;
+  waiter->trace_id = trace_id;
   waiter->cache_seconds = cache_seconds;
   waiter->admission_seconds = admission_seconds;
   waiter->submitted = submitted;
 
   // 1. Cache: a hit completes synchronously — no queue, no planner.
-  const auto complete_hit = [&](const CachedPlan& hit) {
+  const auto complete_hit = [&](CachedPlan& hit) {
     span->arg("outcome", static_cast<long long>(CacheOutcome::Hit));
     PlanResponse response;
     response.id = request.id;
-    response.trace_id = request.trace_id;
+    response.trace_id = trace_id;
     response.cache = CacheOutcome::Hit;
     if (hit.feasible()) {
       response.status = ResponseStatus::Ok;
-      response.plan = denormalize_plan(*hit.plan, canonical.time_unit);
+      response.plan = denormalize_plan(std::move(*hit.plan), key.time_unit);
       if (request.report_explain) {
         // The request's own chain/platform are at hand here, so summarize the
         // denormalized plan directly (bit-identical to summarizing the
@@ -183,8 +203,8 @@ void PlanService::submit_impl(PlanRequest request,
     }
     counters_.hit_latency.observe(response.latency_seconds);
     counters_.hits.add();
-    if (canonical.time_unit != hit.creator_time_unit ||
-        canonical.byte_unit != hit.creator_byte_unit) {
+    if (key.time_unit != hit.creator_time_unit ||
+        key.byte_unit != hit.creator_byte_unit) {
       // The entry was created by a request in different (power-of-two
       // related) units: the cache is being shared across a rescale.
       counters_.scaled_hits.add();
@@ -194,17 +214,17 @@ void PlanService::submit_impl(PlanRequest request,
     span.reset();  // close serve_submit so the sampled tree includes it
     sample_completion(*waiter, response,
                       PhaseTimings{cache_seconds, 0.0, 0.0});
-    deliver(*waiter, std::move(response));
+    waiter->callback(std::move(response));
   };
   if (cached.has_value()) {
     complete_hit(*cached);
-    return;
+    return CacheOutcome::Hit;
   }
   // A missed probe may have expired an entry or met a key collision.
   mirror_cache();
 
-  waiter->time_unit = canonical.time_unit;
-  waiter->byte_unit = canonical.byte_unit;
+  waiter->time_unit = key.time_unit;
+  waiter->byte_unit = key.byte_unit;
   waiter->report_timings = request.report_timings;
   waiter->report_explain = request.report_explain;
 
@@ -212,13 +232,13 @@ void PlanService::submit_impl(PlanRequest request,
     std::unique_lock<std::mutex> lock(mutex_);
     // 2. Coalesce onto an identical in-flight computation.
     for (auto& [fingerprint, pending] : pending_) {
-      if (fingerprint == canonical.fingerprint) {
+      if (fingerprint == key.fingerprint) {
         waiter->outcome = CacheOutcome::Coalesced;
         pending->waiters.push_back(std::move(waiter));
         lock.unlock();
         span->arg("outcome", static_cast<long long>(CacheOutcome::Coalesced));
         counters_.coalesced.add();
-        return;
+        return CacheOutcome::Coalesced;
       }
     }
     // The run this request would coalesce onto may have inserted its plan
@@ -226,10 +246,10 @@ void PlanService::submit_impl(PlanRequest request,
     // it retires, and it retires under mutex_, so probing again here finds
     // that plan instead of enqueueing a second planner run. (Lock order:
     // mutex_, then a cache shard's; the cache never calls back in.)
-    if (std::optional<CachedPlan> late = cache_.find(canonical)) {
+    if (std::optional<CachedPlan> late = cache_.find(key)) {
       lock.unlock();
       complete_hit(*late);
-      return;
+      return CacheOutcome::Hit;
     }
     // 3. Enqueue, or reject under backpressure.
     if (queue_.size() >= options_.queue_capacity) {
@@ -237,7 +257,7 @@ void PlanService::submit_impl(PlanRequest request,
       span->arg("outcome", static_cast<long long>(CacheOutcome::None));
       PlanResponse response;
       response.id = request.id;
-      response.trace_id = request.trace_id;
+      response.trace_id = trace_id;
       response.status = ResponseStatus::Rejected;
       response.error = "queue full (" +
                        std::to_string(options_.queue_capacity) +
@@ -252,25 +272,25 @@ void PlanService::submit_impl(PlanRequest request,
       span.reset();
       sample_completion(*waiter, response,
                         PhaseTimings{cache_seconds, 0.0, 0.0});
-      deliver(*waiter, std::move(response));
-      return;
+      waiter->callback(std::move(response));
+      return CacheOutcome::None;
     }
     auto pending = std::make_shared<Pending>();
-    pending->fingerprint = canonical.fingerprint;
+    pending->fingerprint = key.fingerprint;
     waiter->outcome = CacheOutcome::Miss;
     pending->waiters.push_back(std::move(waiter));
-    pending_.emplace_back(canonical.fingerprint, pending);
+    pending_.emplace_back(key.fingerprint, pending);
 
     const Seconds deadline = request.deadline_seconds > 0.0
                                  ? request.deadline_seconds
                                  : options_.default_deadline_seconds;
     span->arg("outcome", static_cast<long long>(CacheOutcome::Miss));
-    queue_.push_back(Job{std::move(pending), std::move(canonical),
-                         request.options, deadline, submitted,
-                         obs::now_ns(), request.trace_id});
+    queue_.push_back(Job{std::move(pending), prepared, deadline, submitted,
+                         obs::now_ns(), trace_id});
     counters_.queue_depth.set(static_cast<double>(queue_.size()));
   }
   work_available_.notify_one();
+  return CacheOutcome::Miss;
 }
 
 PlanResponse PlanService::plan(PlanRequest request) {
@@ -317,6 +337,7 @@ void PlanService::run_job(Job& job) {
   // wall clock; once it clamps below the configured max_states the run is a
   // candidate for degradation (it becomes "degraded" only if the valve
   // actually fires — an untruncated run is the full-fidelity result).
+  MadPipeOptions options = job.prepared->request.options;
   bool budget_reduced = false;
   if (job.deadline_seconds > 0.0) {
     const double remaining =
@@ -328,13 +349,16 @@ void PlanService::run_job(Job& job) {
     const std::size_t budget = std::max(
         options_.min_state_budget,
         static_cast<std::size_t>(std::min<double>(
-            allowance, static_cast<double>(job.options.phase1.dp.max_states))));
-    if (budget < job.options.phase1.dp.max_states) {
-      job.options.phase1.dp.max_states = budget;
+            allowance, static_cast<double>(options.phase1.dp.max_states))));
+    if (budget < options.phase1.dp.max_states) {
+      options.phase1.dp.max_states = budget;
       budget_reduced = true;
     }
   }
 
+  // Only a miss builds the canonical profile the planner runs on.
+  const CanonicalRequest canonical =
+      canonicalize(job.prepared->request, job.prepared->key);
   CachedPlan cached;
   ResponseStatus status = ResponseStatus::Error;
   bool degraded = false;
@@ -342,9 +366,9 @@ void PlanService::run_job(Job& job) {
   try {
     counters_.planner_runs.add();
     std::optional<Plan> plan =
-        plan_madpipe(job.canonical.chain, job.canonical.platform, job.options);
-    cached.creator_time_unit = job.canonical.time_unit;
-    cached.creator_byte_unit = job.canonical.byte_unit;
+        plan_madpipe(canonical.chain, canonical.platform, options);
+    cached.creator_time_unit = canonical.time_unit;
+    cached.creator_byte_unit = canonical.byte_unit;
     if (plan.has_value()) {
       degraded = budget_reduced && plan->stats.state_budget_hits > 0;
       status = ResponseStatus::Ok;
@@ -358,7 +382,7 @@ void PlanService::run_job(Job& job) {
     // Degraded results are never cached: the next request (with a healthier
     // deadline) must get the chance to compute the real plan.
     if (!degraded) {
-      cache_.insert(job.canonical, cached);
+      cache_.insert(canonical, cached);
       mirror_cache();
     }
   } catch (const std::exception& exception) {
@@ -391,7 +415,7 @@ void PlanService::run_job(Job& job) {
     for (const std::unique_ptr<Waiter>& waiter : job.pending->waiters) {
       if (!waiter->report_explain) continue;
       canonical_summary = report::build_explain_summary(
-          *cached.plan, job.canonical.chain, job.canonical.platform);
+          *cached.plan, canonical.chain, canonical.platform);
       break;
     }
   }
@@ -436,7 +460,7 @@ void PlanService::fulfill(
     PhaseTimings waiter_timings = timings;
     waiter_timings.cache_seconds = waiter->cache_seconds;
     sample_completion(*waiter, response, waiter_timings);
-    deliver(*waiter, std::move(response));
+    waiter->callback(std::move(response));
   }
 }
 
@@ -451,7 +475,7 @@ void PlanService::sample_completion(const Waiter& waiter,
   done.cache = to_string(response.cache);
   done.latency_seconds = response.latency_seconds;
   // Admission = ingress → cache probe done (frame read, parse, dispatch
-  // queue, canonicalization, cache lookup). Queue/plan come from the job
+  // queue, cache key, cache lookup). Queue/plan come from the job
   // and are shared by coalesced waiters.
   done.admission_seconds = waiter.admission_seconds;
   done.queue_seconds = timings.queue_seconds;

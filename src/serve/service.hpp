@@ -1,7 +1,8 @@
 // PlanService: the traffic-bearing front end to plan_madpipe.
 //
-// submit() canonicalizes the request, then takes the cheapest path that can
-// serve it:
+// A submission carries a PreparedRequest (the request plus its cache key:
+// submit() and submit_async() compute the key, submit_prepared() takes one
+// computed earlier), then takes the cheapest path that can serve it:
 //
 //   1. cache hit   — the stored canonical plan is rescaled to the request's
 //                    units and the future completes immediately (no queue,
@@ -57,7 +58,7 @@ const char* to_string(CacheOutcome outcome) noexcept;
 /// (PlanRequest::report_timings / protocol option `timings`). Phases the
 /// request never traversed (e.g. plan on a cache hit) stay 0.
 struct PhaseTimings {
-  double cache_seconds = 0.0;  ///< canonicalization + plan-cache probe
+  double cache_seconds = 0.0;  ///< cache key (if computed here) + cache probe
   double queue_seconds = 0.0;  ///< enqueue → a worker dequeued the job
   double plan_seconds = 0.0;   ///< planner wall time (shared by coalesced
                                ///< waiters — one run fed them all)
@@ -102,7 +103,8 @@ struct ServiceOptions {
   int expected_probes = 10;
 };
 
-/// Delivery sink for submit_async: invoked exactly once per request, from
+/// Delivery sink for submit_async/submit_prepared: invoked exactly once per
+/// request, from
 /// whichever thread completes it (the submitter on hit/reject, a planner
 /// worker on miss, the destructor thread on shutdown-cancel). Must not
 /// block and must not call back into the service.
@@ -123,11 +125,24 @@ class PlanService {
   /// worker finishes planning.
   std::future<PlanResponse> submit(PlanRequest request);
 
-  /// Callback-style submission for event-driven callers (the TCP front-end):
-  /// no future/promise pair per request, the callback fires once with the
-  /// response. Cache hits and rejections invoke it before submit_async
-  /// returns, on the submitting thread.
+  /// Callback-style submission for event-driven callers: no future/promise
+  /// pair per request, the callback fires once with the response. Cache
+  /// hits and rejections invoke it before submit_async returns, on the
+  /// submitting thread. Computes the request's cache key, then submits as
+  /// submit_prepared does.
   void submit_async(PlanRequest request, ResponseCallback callback);
+
+  /// Submit a request whose cache key is already computed, under a
+  /// per-submission trace id and ingress time (0 = assign here; the
+  /// prepared request's own are not read). A hit reads `prepared` without
+  /// copying it; a miss keeps a reference until its plan is delivered. The
+  /// TCP front-end submits every frame this way. Returns the submission's
+  /// outcome: Hit means the callback already ran, Miss/Coalesced that a
+  /// planner run will invoke it, None that the queue rejected it.
+  CacheOutcome submit_prepared(
+      const std::shared_ptr<const PreparedRequest>& prepared,
+      std::uint64_t trace_id, std::int64_t ingress_ns,
+      ResponseCallback callback);
 
   /// Synchronous convenience wrapper.
   PlanResponse plan(PlanRequest request);
@@ -153,8 +168,7 @@ class PlanService {
 
  private:
   struct Waiter {
-    std::promise<PlanResponse> promise;
-    ResponseCallback callback;  ///< when set, delivery bypasses the promise
+    ResponseCallback callback;
     std::string id;
     double time_unit = 1.0;  ///< for per-waiter denormalization
     double byte_unit = 1.0;  ///< for per-waiter ExplainSummary rescaling
@@ -165,7 +179,7 @@ class PlanService {
     double cache_seconds = 0.0;  ///< this waiter's submit-side cache phase
     std::uint64_t trace_id = 0;  ///< request trace id (echoed, sampled)
     /// Ingress → cache-probe-done, the sampled "admission" phase (frame
-    /// read + parse + dispatch queue + canonicalization + cache probe).
+    /// read + parse + dispatch queue + cache key + cache probe).
     double admission_seconds = 0.0;
   };
   /// One in-flight canonical computation and everyone waiting on it.
@@ -175,8 +189,8 @@ class PlanService {
   };
   struct Job {
     std::shared_ptr<Pending> pending;
-    CanonicalRequest canonical;
-    MadPipeOptions options;
+    /// The first miss's request and key; the worker canonicalizes it.
+    std::shared_ptr<const PreparedRequest> prepared;
     Seconds deadline_seconds = 0.0;
     std::chrono::steady_clock::time_point submitted;
     std::int64_t enqueue_ns = 0;  ///< obs::now_ns() at enqueue (queue span)
@@ -185,11 +199,13 @@ class PlanService {
     std::uint64_t trace_id = 0;
   };
 
-  /// Shared body of submit/submit_async: the waiter already carries its
-  /// delivery channel (promise or callback).
-  void submit_impl(PlanRequest request, std::unique_ptr<Waiter> waiter);
-  /// Invoke the waiter's callback or fulfill its promise — exactly once.
-  static void deliver(Waiter& waiter, PlanResponse&& response);
+  /// Shared body of submit_async/submit_prepared, run under the request's
+  /// trace context once its tail-sampler record is open.
+  CacheOutcome submit_impl(
+      const std::shared_ptr<const PreparedRequest>& prepared,
+      std::uint64_t trace_id, std::int64_t ingress_ns,
+      std::chrono::steady_clock::time_point submitted,
+      ResponseCallback callback);
   /// Hand the completed request to the tail sampler (no-op when sampling
   /// is disarmed). Called after the request's spans have closed and
   /// before delivery.

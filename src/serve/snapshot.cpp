@@ -310,7 +310,7 @@ SnapshotLoadResult load_cache_snapshot(ShardedPlanCache& cache,
       cached.plan = std::move(plan);
     }
     // Fingerprint verification: the key must be the digest of the stored
-    // fingerprint, exactly as canonicalize() would compute it today.
+    // fingerprint, exactly as cache_key() would compute it today.
     if (fingerprint_digest(fingerprint) != key) {
       ++result.rejected;
       continue;

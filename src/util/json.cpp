@@ -1,9 +1,11 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 
 #include "util/expect.hpp"
 
@@ -308,10 +310,22 @@ class Parser {
       }
       if (!digits()) return fail("digits required in exponent");
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || !std::isfinite(v)) {
+    // from_chars and strtod both round correctly, so they agree whenever
+    // from_chars succeeds. It refuses out-of-range values, where strtod
+    // underflows to zero (1e-400 reads as 0) or overflows (an error here);
+    // only that rare case pays for strtod's null-terminated copy.
+    const char* const first = text_.data() + start;
+    const char* const last = text_.data() + pos_;
+    double v = 0.0;
+    const auto [end, ec] = std::from_chars(first, last, v);
+    if (ec == std::errc::result_out_of_range) {
+      const std::string token(first, last);
+      v = std::strtod(token.c_str(), nullptr);
+    } else if (ec != std::errc() || end != last) {
+      pos_ = start;
+      return fail("invalid number");
+    }
+    if (!std::isfinite(v)) {
       pos_ = start;
       return fail("invalid number");
     }
@@ -330,11 +344,19 @@ class Parser {
     if (!consume('"')) return fail("expected '\"'");
     out.clear();
     while (true) {
+      // Append the run up to the next quote, escape or control character
+      // in one call.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size()) {
+        const unsigned char c = static_cast<unsigned char>(text_[pos_]);
+        if (c == '"' || c == '\\' || c < 0x20) break;
+        ++pos_;
+      }
+      out.append(text_.data() + run, pos_ - run);
       if (pos_ >= text_.size()) return fail("unterminated string");
       const unsigned char c = static_cast<unsigned char>(text_[pos_++]);
       if (c == '"') return true;
       if (c < 0x20) { --pos_; return fail("raw control character in string"); }
-      if (c != '\\') { out += static_cast<char>(c); continue; }
       if (pos_ >= text_.size()) return fail("unterminated escape");
       const char escape = text_[pos_++];
       switch (escape) {
@@ -400,6 +422,7 @@ class Parser {
   bool parse_object(Value& out, int depth) {
     consume('{');
     std::vector<Value::Member> members;
+    members.reserve(8);  // request and profile-layer objects have ≤ 8 keys
     skip_whitespace();
     if (consume('}')) {
       out = Value::make_object(std::move(members));

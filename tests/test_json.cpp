@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+
 #include "util/expect.hpp"
 
 namespace madpipe::json {
@@ -233,6 +240,69 @@ TEST(JsonParse, RejectsExcessiveNesting) {
   const ParseResult result = parse(deep);
   EXPECT_FALSE(result.ok());
   EXPECT_NE(result.error.find("nesting"), std::string::npos);
+}
+
+/// The bits strtod reads from `text`; the parser must reproduce them.
+std::uint64_t strtod_bits(const std::string& text) {
+  return std::bit_cast<std::uint64_t>(std::strtod(text.c_str(), nullptr));
+}
+
+TEST(JsonParse, NumbersMatchStrtod) {
+  // Every finite strtod result is read bit for bit: zeros and their signs,
+  // subnormals, halfway cases, the extremes, long mantissas, and values
+  // that underflow to zero.
+  const char* const kFinite[] = {
+      "0", "-0", "0.0", "-0.0", "1", "-1", "0.1", "0.5", "1e0", "1E5",
+      "1e+5", "1e-5", "-12.5e2", "123456789", "9007199254740993",
+      "12345678901234567890123456789", "0.1000000000000000055511151231257827",
+      "3.141592653589793238462643383279", "2.2250738585072014e-308",
+      "2.2250738585072011e-308", "2.225073858507201e-308", "4.9e-324",
+      "5e-324", "-5e-324", "2.4703282292062328e-324",
+      "2.4703282292062327e-324", "2e-324", "1e-320", "1e-400", "-1e-400",
+      "0.0000000000000000000000000000001e-300", "1.7976931348623157e308",
+      "1.7976931348623158e308", "179769313486231570000000000000000000000"
+                                "000000000000000000000000000000000000000"
+                                "000000000000000000000000000000000000000"
+                                "000000000000000000000000000000000000000"
+                                "000000000000000000000000000000000000000"
+                                "000000000000000000000000000000000000000"
+                                "000000000000000000000000000000000000000"
+                                "00000000000000000000000",
+      "1e22", "1e23", "8.98846567431158e307", "1.5e-10", "123.456e-7"};
+  for (const char* text : kFinite) {
+    const ParseResult result = parse(text);
+    ASSERT_TRUE(result.ok()) << text << ": " << result.error;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.value.as_number()),
+              strtod_bits(text))
+        << text;
+  }
+  EXPECT_EQ(parse("1e-400").value.as_number(), 0.0);
+
+  // Values strtod overflows to infinity are errors, not infinities.
+  for (const char* text : {"1e400", "-1e400", "1.7976931348623159e308",
+                           "2e308", "1e99999"}) {
+    const ParseResult result = parse(text);
+    EXPECT_FALSE(result.ok()) << text;
+    EXPECT_NE(result.error.find("invalid number"), std::string::npos) << text;
+  }
+
+  // A sweep of bit patterns across the whole exponent range, printed both
+  // exactly (%.17g) and rounded (%.6e) so the parser must round too.
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (int i = 0; i < 4000; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    const double v = std::bit_cast<double>(state);
+    if (!std::isfinite(v)) continue;
+    for (const char* format : {"%.17g", "%.6e"}) {
+      char text[64];
+      std::snprintf(text, sizeof(text), format, v);
+      const ParseResult result = parse(text);
+      ASSERT_TRUE(result.ok()) << text << ": " << result.error;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(result.value.as_number()),
+                strtod_bits(text))
+          << text;
+    }
+  }
 }
 
 TEST(JsonParse, WrongAccessorThrows) {

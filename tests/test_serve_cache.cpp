@@ -11,17 +11,10 @@
 namespace madpipe::serve {
 namespace {
 
-/// A synthetic canonical request with a chosen key/fingerprint (the cache
-/// never looks at the chain beyond storing plans, so a tiny one suffices).
-CanonicalRequest synthetic(std::uint64_t key, const std::string& fingerprint) {
-  CanonicalRequest request{make_uniform_chain(2, ms(1), ms(2), MB, MB, MB),
-                           Platform{2, GB, GB},
-                           1.0,
-                           1.0,
-                           true,
-                           fingerprint,
-                           key};
-  return request;
+/// A synthetic cache key with a chosen key/fingerprint (the cache never
+/// looks at anything else).
+CacheKey synthetic(std::uint64_t key, const std::string& fingerprint) {
+  return CacheKey{1.0, 1.0, true, fingerprint, key};
 }
 
 CachedPlan feasible_plan(double period = 0.5) {
@@ -37,7 +30,7 @@ CachedPlan feasible_plan(double period = 0.5) {
 
 TEST(ServeCache, InsertFindRoundTrip) {
   ShardedPlanCache cache;
-  const CanonicalRequest request = synthetic(42, "fp42");
+  const CacheKey request = synthetic(42, "fp42");
   EXPECT_FALSE(cache.find(request).has_value());
   cache.insert(request, feasible_plan(0.25));
   const std::optional<CachedPlan> hit = cache.find(request);
@@ -53,7 +46,7 @@ TEST(ServeCache, InsertFindRoundTrip) {
 
 TEST(ServeCache, NegativeCachingStoresInfeasible) {
   ShardedPlanCache cache;
-  const CanonicalRequest request = synthetic(7, "fp7");
+  const CacheKey request = synthetic(7, "fp7");
   cache.insert(request, CachedPlan{});
   const std::optional<CachedPlan> hit = cache.find(request);
   ASSERT_TRUE(hit.has_value());
@@ -62,7 +55,7 @@ TEST(ServeCache, NegativeCachingStoresInfeasible) {
 
 TEST(ServeCache, OverwriteSameKeyKeepsOneEntry) {
   ShardedPlanCache cache;
-  const CanonicalRequest request = synthetic(9, "fp9");
+  const CacheKey request = synthetic(9, "fp9");
   cache.insert(request, feasible_plan(1.0));
   cache.insert(request, feasible_plan(2.0));
   EXPECT_EQ(cache.counters().entries, 1);
@@ -74,8 +67,8 @@ TEST(ServeCache, OverwriteSameKeyKeepsOneEntry) {
 TEST(ServeCache, DigestCollisionIsAMissNotAWrongPlan) {
   ShardedPlanCache cache;
   // Same 64-bit key, different fingerprints: a digest collision.
-  const CanonicalRequest a = synthetic(1234, "fingerprint-a");
-  const CanonicalRequest b = synthetic(1234, "fingerprint-b");
+  const CacheKey a = synthetic(1234, "fingerprint-a");
+  const CacheKey b = synthetic(1234, "fingerprint-b");
   cache.insert(a, feasible_plan(1.0));
   EXPECT_FALSE(cache.find(b).has_value());
   EXPECT_EQ(cache.counters().key_collisions, 1);
@@ -88,8 +81,8 @@ TEST(ServeCache, ByteBudgetEvictsLeastRecentlyUsed) {
   options.shards = 1;  // single shard so the LRU order is global
   options.byte_budget = 1;  // every insert overflows: only the newest stays
   ShardedPlanCache cache(options);
-  const CanonicalRequest a = synthetic(1, "a");
-  const CanonicalRequest b = synthetic(2, "b");
+  const CacheKey a = synthetic(1, "a");
+  const CacheKey b = synthetic(2, "b");
   cache.insert(a, feasible_plan());
   cache.insert(b, feasible_plan());
   EXPECT_FALSE(cache.find(a).has_value());  // evicted as LRU tail
@@ -112,8 +105,8 @@ TEST(ServeCache, LruRefreshOnHitProtectsHotEntries) {
   tight.shards = 1;
   tight.byte_budget = 2 * entry_bytes + entry_bytes / 2;  // two fit, not three
   ShardedPlanCache small(tight);
-  const CanonicalRequest a = synthetic(1, "a");
-  const CanonicalRequest b = synthetic(2, "b");
+  const CacheKey a = synthetic(1, "a");
+  const CacheKey b = synthetic(2, "b");
   small.insert(a, feasible_plan());
   small.insert(b, feasible_plan());
   EXPECT_TRUE(small.find(a).has_value());  // refresh a; b is now the tail
@@ -126,7 +119,7 @@ TEST(ServeCache, TtlExpiresEntries) {
   PlanCacheOptions options;
   options.ttl_seconds = 1e-9;  // expires effectively immediately
   ShardedPlanCache cache(options);
-  const CanonicalRequest request = synthetic(5, "fp5");
+  const CacheKey request = synthetic(5, "fp5");
   cache.insert(request, feasible_plan());
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   EXPECT_FALSE(cache.find(request).has_value());
@@ -161,7 +154,7 @@ TEST(ServeCache, ConcurrentMixedOperationsStayConsistent) {
         const std::uint64_t key =
             static_cast<std::uint64_t>((t * kOps + i) % 97) *
             0x9e3779b97f4a7c15ull;
-        const CanonicalRequest request =
+        const CacheKey request =
             synthetic(key, "fp" + std::to_string(key));
         if (i % 3 == 0) {
           cache.insert(request, feasible_plan());

@@ -569,6 +569,165 @@ TEST(ServeNet, EchoedTraceIdIsCacheKeyInert) {
   EXPECT_EQ(plan_tail(hit_line), plan_tail(miss_line));
 }
 
+/// A response with the per-submission fields (trace id, latency, phase
+/// times) taken out: what every repeat of one frame must return.
+std::string repeatable_part(const std::string& response) {
+  const json::ParseResult parsed = json::parse(response);
+  if (!parsed.ok()) return "<unparseable>";
+  json::Writer w;
+  w.begin_object();
+  for (const auto& [key, value] : parsed.value.members()) {
+    if (key == "trace_id" || key == "latency_ms") continue;
+    w.key(key);
+    if (key == "phases") {
+      // A hit spends time only in the cache phase.
+      w.begin_object();
+      for (const auto& [phase, ms] : value.members()) {
+        w.key(phase);
+        w.value(phase == "cache_ms" ? ms.as_number() > 0.0
+                                    : ms.as_number() == 0.0);
+      }
+      w.end_object();
+    } else if (key == "explain") {
+      w.begin_object();
+      for (const auto& [name, item] : value.members()) {
+        w.key(name);
+        if (item.is_string()) {
+          w.value(item.as_string());
+        } else {
+          w.value(item.as_number());
+        }
+      }
+      w.end_object();
+    } else if (key == "plan") {
+      w.value(plan_tail(response));
+    } else if (value.is_string()) {
+      w.value(value.as_string());
+    } else if (value.is_bool()) {
+      w.value(value.as_bool());
+    } else {
+      w.value(value.as_number());
+    }
+  }
+  w.end_object();
+  return w.str();
+}
+
+TEST(ServeNet, RepeatedFrameIsPreparedOnceAndAnswersAsBefore) {
+  // An inline v2 profile, as a client sends it, and the same profile with
+  // every duration doubled and every byte quantity quadrupled (memory and
+  // bandwidth follow), which shares the first one's cache entry.
+  const Chain chain = make_uniform_chain(6, ms(2), ms(4), MB, 8 * MB, MB);
+  const Chain scaled =
+      make_uniform_chain(6, ms(4), ms(8), 4 * MB, 32 * MB, 4 * MB);
+  const auto frame = [](const std::string& id, const Chain& profile,
+                        double memory_gb, double bandwidth_gbs,
+                        bool explain_timings) {
+    json::Writer w;
+    w.begin_object();
+    w.key("id"); w.value(id);
+    w.key("profile_text"); w.value(models::profile_to_json_string(profile));
+    w.key("gpus"); w.value(2);
+    w.key("memory_gb"); w.value(memory_gb);
+    w.key("bandwidth_gbs"); w.value(bandwidth_gbs);
+    if (explain_timings) {
+      w.key("options");
+      w.begin_object();
+      w.key("explain"); w.value(true);
+      w.key("timings"); w.value(true);
+      w.end_object();
+    }
+    w.end_object();
+    return w.str() + "\n";
+  };
+  const std::string warm = frame("warm", chain, 8, 12, false);
+  const std::string base = frame("base", chain, 8, 12, true);
+  const std::string rescaled = frame("rescaled", scaled, 32, 24, true);
+
+  obs::install_trace();
+  {
+    PlanService service;
+    NetServerOptions options = Harness::with_loopback({});
+    options.dispatch_workers = 1;  // one dispatch worker, so one frame memo
+    NetServer server(service, options);
+    Client client(server.port());
+    ASSERT_TRUE(client.ok());
+    std::vector<std::uint64_t> ids;
+    const auto round_trip = [&](const std::string& request) {
+      std::string line;
+      EXPECT_TRUE(client.send(request));
+      EXPECT_TRUE(client.recv(line));
+      ids.push_back(echoed_trace_id(line));
+      return line;
+    };
+    /// serve_prepare spans (one per cache key computed) among the frames
+    /// answered from `first` on.
+    const auto prepares_since = [&](const std::vector<obs::TraceEvent>& events,
+                                    std::size_t first) {
+      int count = 0;
+      for (const obs::TraceEvent& event : events) {
+        if (event.name == nullptr ||
+            std::string(event.name) != "serve_prepare") {
+          continue;
+        }
+        for (std::size_t i = first; i < ids.size(); ++i) {
+          if (event.trace_id == ids[i]) ++count;
+        }
+      }
+      return count;
+    };
+
+    ASSERT_EQ(field(round_trip(warm), "cache"), "miss");
+    obs::drain_trace();
+
+    // A frame that hits on first sight is memoized: four sends, one key.
+    const std::size_t base_first = ids.size();
+    std::vector<std::string> base_lines;
+    for (int i = 0; i < 4; ++i) base_lines.push_back(round_trip(base));
+    EXPECT_EQ(prepares_since(obs::drain_trace(), base_first), 1);
+    for (const std::string& line : base_lines) {
+      EXPECT_EQ(field(line, "cache"), "hit") << line;
+      ASSERT_NE(line.find("\"explain\":"), std::string::npos) << line;
+      ASSERT_NE(line.find("\"phases\":"), std::string::npos) << line;
+      // The memoized repeats answer with every field the first (parsed)
+      // hit did.
+      EXPECT_EQ(repeatable_part(line), repeatable_part(base_lines[0]));
+    }
+
+    // The rescaled frame shares the entry: every send, memoized or not,
+    // is a scaled hit, in its own units.
+    const long long scaled_before = service.stats().scaled_hits;
+    const std::size_t rescaled_first = ids.size();
+    std::vector<std::string> rescaled_lines;
+    for (int i = 0; i < 3; ++i) rescaled_lines.push_back(round_trip(rescaled));
+    EXPECT_EQ(prepares_since(obs::drain_trace(), rescaled_first), 1);
+    EXPECT_EQ(service.stats().scaled_hits - scaled_before, 3);
+    for (const std::string& line : rescaled_lines) {
+      EXPECT_EQ(field(line, "cache"), "hit") << line;
+      EXPECT_EQ(repeatable_part(line), repeatable_part(rescaled_lines[0]));
+    }
+    const json::ParseResult base_json = json::parse(base_lines[0]);
+    const json::ParseResult rescaled_json = json::parse(rescaled_lines[0]);
+    ASSERT_TRUE(base_json.ok() && rescaled_json.ok());
+    EXPECT_EQ(rescaled_json.value.find("plan")->number_or("period", 0.0),
+              2.0 * base_json.value.find("plan")->number_or("period", 0.0));
+    EXPECT_EQ(
+        rescaled_json.value.find("explain")->number_or("memory_peak_bytes",
+                                                       0.0),
+        4.0 * base_json.value.find("explain")->number_or("memory_peak_bytes",
+                                                         0.0));
+
+    // Only hits are memoized: the frame that missed is keyed again on its
+    // first hit, then memoized.
+    const std::size_t warm_first = ids.size();
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(field(round_trip(warm), "cache"), "hit");
+    }
+    EXPECT_EQ(prepares_since(obs::drain_trace(), warm_first), 1);
+  }
+  obs::uninstall_trace();
+}
+
 TEST(ServeNet, PlansAreBitIdenticalWithTelemetryArmedVsDisarmed) {
   const std::string frame = fast_frame("armed");
 

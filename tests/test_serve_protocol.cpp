@@ -203,6 +203,40 @@ TEST(ServeProtocol, TableOfBadRequests) {
   }
 }
 
+TEST(ServeProtocol, RejectsMaxStatesOutOfRange) {
+  const auto parse_max_states = [](const std::string& value) {
+    return parse_requests(
+        R"({"network":{"name":"resnet50","length":8},"gpus":4,"memory_gb":8,)"
+        R"("options":{"max_states":)" + value + "}}");
+  };
+  // Past SIZE_MAX, fractional, below 1 or not a number: each is a protocol
+  // error, never a silently shrunk state budget.
+  for (const char* bad :
+       {"1e300", "2e19", "18446744073709551616", "1.5", "0", "-3", "0.5",
+        "\"100\""}) {
+    const BatchParse batch = parse_max_states(bad);
+    ASSERT_TRUE(batch.ok()) << bad << ": " << batch.error;
+    ASSERT_EQ(batch.requests.size(), 1u) << bad;
+    EXPECT_FALSE(batch.requests[0].ok()) << bad;
+    EXPECT_EQ(batch.requests[0].error,
+              "options.max_states must be an integer in [1, 2^64)")
+        << bad;
+  }
+  // The largest double below 2^64 and the smallest budget both convert.
+  const std::pair<const char*, std::size_t> kGood[] = {
+      {"1", 1}, {"250000", 250000}, {"1e6", 1000000},
+      {"18446744073709549568", 18446744073709549568ull}};
+  for (const auto& [good, expected] : kGood) {
+    const BatchParse batch = parse_max_states(good);
+    ASSERT_TRUE(batch.ok()) << good << ": " << batch.error;
+    ASSERT_TRUE(batch.requests[0].ok()) << good << ": "
+                                        << batch.requests[0].error;
+    EXPECT_EQ(batch.requests[0].request->options.phase1.dp.max_states,
+              expected)
+        << good;
+  }
+}
+
 TEST(ServeProtocol, BadRequestInBatchDoesNotPoisonNeighbours) {
   const std::string text = std::string("{\"requests\":[") +
                            R"({"id":"bad","gpus":2,"memory_gb":4},)" +
