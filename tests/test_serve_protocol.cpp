@@ -350,5 +350,102 @@ TEST(ServeProtocol, EveryResponseStatusRoundTripsThroughTheSerializer) {
                "unknown");
 }
 
+// The bytes a served response carries, pinned for every cache path a plan
+// can take out of the service: the miss that plans it, a plain hit, a hit
+// in power-of-two rescaled units (times x4, bytes x2), explain hits in both
+// unit systems (the first on an entry whose miss asked for no summary) and
+// a negative-cache hit. Latency is zeroed and the trace id fixed; nothing
+// else in a response varies run to run.
+TEST(ServeProtocol, HitResponseBytesGolden) {
+  const auto chain = [](double time_factor, double byte_factor) {
+    std::vector<Layer> layers;
+    for (int l = 1; l <= 6; ++l) {
+      Layer layer;
+      layer.name = "g" + std::to_string(l);
+      layer.forward_time = ms(1.0 + 0.37 * l) * time_factor;
+      layer.backward_time = ms(2.0 + 0.61 * l) * time_factor;
+      layer.weight_bytes = (3.0 + l) * MB * byte_factor;
+      layer.output_bytes = (40.0 + 7.0 * l) * MB * byte_factor;
+      layers.push_back(layer);
+    }
+    return Chain("golden", 25 * MB * byte_factor, std::move(layers));
+  };
+  const auto request = [&](const char* id, double time_factor,
+                           double byte_factor, double memory_gb,
+                           bool explain) {
+    MadPipeOptions options;
+    options.phase1.dp.grid = Discretization::coarse();
+    PlanRequest r{id,
+                  chain(time_factor, byte_factor),
+                  Platform{3, memory_gb * GB * byte_factor,
+                           12 * GB * byte_factor / time_factor},
+                  options,
+                  0.0};
+    r.report_explain = explain;
+    return r;
+  };
+  PlanService service;
+  const auto served = [&](const PlanRequest& r) {
+    PlanResponse response = service.plan(r);
+    response.latency_seconds = 0.0;
+    response.trace_id = 0xfeedULL;
+    return response_to_json(response);
+  };
+
+  EXPECT_EQ(served(request("miss", 1, 1, 2, false)),
+            R"({"id":"miss","trace_id":"000000000000feed","status":"ok")"
+            R"(,"cache":"miss","degraded":false,"latency_ms":0)"
+            R"(,"plan":{"planner":"madpipe","period":0.01482)"
+            R"(,"phase1_period":0.01482,"throughput":67.47638326585695)"
+            R"(,"allocation":"1-1@2;2-3@0;4-5@1;6-6@2","num_stages":4)"
+            R"(,"pattern_ops":14}})");
+  EXPECT_EQ(served(request("hit", 1, 1, 2, false)),
+            R"({"id":"hit","trace_id":"000000000000feed","status":"ok")"
+            R"(,"cache":"hit","degraded":false,"latency_ms":0)"
+            R"(,"plan":{"planner":"madpipe","period":0.01482)"
+            R"(,"phase1_period":0.01482,"throughput":67.47638326585695)"
+            R"(,"allocation":"1-1@2;2-3@0;4-5@1;6-6@2","num_stages":4)"
+            R"(,"pattern_ops":14}})");
+  EXPECT_EQ(served(request("scaled", 4, 2, 2, false)),
+            R"({"id":"scaled","trace_id":"000000000000feed","status":"ok")"
+            R"(,"cache":"hit","degraded":false,"latency_ms":0)"
+            R"(,"plan":{"planner":"madpipe","period":0.05928)"
+            R"(,"phase1_period":0.05928,"throughput":16.869095816464238)"
+            R"(,"allocation":"1-1@2;2-3@0;4-5@1;6-6@2","num_stages":4)"
+            R"(,"pattern_ops":14}})");
+  EXPECT_EQ(served(request("explain", 1, 1, 2, true)),
+            R"({"id":"explain","trace_id":"000000000000feed","status":"ok")"
+            R"(,"cache":"hit","degraded":false,"latency_ms":0)"
+            R"(,"explain":{"period":0.01482,"critical_resource":"gpu1")"
+            R"(,"critical_utilization":1,"bubble_fraction":0)"
+            R"(,"mean_gpu_utilization":0.8677462887989204)"
+            R"(,"memory_peak_bytes":1158000000)"
+            R"(,"memory_headroom_bytes":842000000,"binding_gpu":0)"
+            R"(,"binding_term":"activations"},"plan":{"planner":"madpipe")"
+            R"(,"period":0.01482,"phase1_period":0.01482)"
+            R"(,"throughput":67.47638326585695)"
+            R"(,"allocation":"1-1@2;2-3@0;4-5@1;6-6@2","num_stages":4)"
+            R"(,"pattern_ops":14}})");
+  EXPECT_EQ(served(request("scaled-explain", 4, 2, 2, true)),
+            R"({"id":"scaled-explain","trace_id":"000000000000feed")"
+            R"(,"status":"ok","cache":"hit","degraded":false,"latency_ms":0)"
+            R"(,"explain":{"period":0.05928,"critical_resource":"gpu1")"
+            R"(,"critical_utilization":1,"bubble_fraction":0)"
+            R"(,"mean_gpu_utilization":0.8677462887989204)"
+            R"(,"memory_peak_bytes":2316000000)"
+            R"(,"memory_headroom_bytes":1684000000,"binding_gpu":0)"
+            R"(,"binding_term":"activations"},"plan":{"planner":"madpipe")"
+            R"(,"period":0.05928,"phase1_period":0.05928)"
+            R"(,"throughput":16.869095816464238)"
+            R"(,"allocation":"1-1@2;2-3@0;4-5@1;6-6@2","num_stages":4)"
+            R"(,"pattern_ops":14}})");
+  served(request("infeasible-miss", 1, 1, 0.05, false));
+  EXPECT_EQ(served(request("infeasible", 1, 1, 0.05, false)),
+            R"({"id":"infeasible","trace_id":"000000000000feed")"
+            R"(,"status":"infeasible","cache":"hit","degraded":false)"
+            R"(,"latency_ms":0})");
+  EXPECT_EQ(service.stats().planner_runs, 2);
+}
+
 }  // namespace
 }  // namespace madpipe::serve
