@@ -17,26 +17,41 @@ std::size_t round_up_pow2(std::size_t v) {
 }
 
 /// Approximate resident size of one entry: the accounting driving the byte
-/// budget. Exactness doesn't matter; proportionality does.
+/// budget. Exactness doesn't matter; proportionality does. The explain
+/// summary is charged up front, built or not.
 std::size_t approximate_bytes(const std::string& fingerprint,
-                              const CachedPlan& cached) {
-  std::size_t bytes = 128 + fingerprint.size();
+                              const CacheEntry& cached) {
+  std::size_t bytes = 128 + fingerprint.size() + sizeof(CacheEntry);
   if (cached.plan.has_value()) {
     const Plan& plan = *cached.plan;
     bytes += plan.pattern.ops.size() * sizeof(PatternOp);
     bytes += plan.allocation.partitioning().stages().size() *
              (sizeof(Stage) + sizeof(int));
-    bytes += sizeof(Plan);
+    bytes += cached.allocation.size();
   }
   return bytes;
 }
 
 }  // namespace
 
+CacheEntry::CacheEntry(CachedPlan cached) : CachedPlan(std::move(cached)) {
+  if (plan.has_value()) allocation = allocation_fingerprint(plan->allocation);
+}
+
+const report::ExplainSummary& CacheEntry::explain_summary(
+    const PlanRequest& request, const CacheKey& key) const {
+  std::call_once(summary_once_, [&] {
+    const CanonicalRequest canonical = canonicalize(request, key);
+    summary_ = report::build_explain_summary(*plan, canonical.chain,
+                                             canonical.platform);
+  });
+  return summary_;
+}
+
 struct ShardedPlanCache::Entry {
   std::uint64_t key = 0;
   std::string fingerprint;
-  CachedPlan cached;
+  std::shared_ptr<const CacheEntry> cached;
   std::size_t bytes = 0;
   Clock::time_point expires{};  ///< meaningful only with a TTL
   // Intrusive LRU links (slab indices). head = most recent.
@@ -118,25 +133,26 @@ ShardedPlanCache::Shard& ShardedPlanCache::shard_for(std::uint64_t key) const {
   return *shards_[(key >> 56) & shard_mask_];
 }
 
-std::optional<CachedPlan> ShardedPlanCache::find(const CacheKey& request) {
+std::shared_ptr<const CacheEntry> ShardedPlanCache::find(
+    const CacheKey& request) {
   Shard& shard = shard_for(request.key);
   const std::lock_guard<std::mutex> lock(shard.mutex);
   const std::uint32_t* slot = shard.index.find(request.key);
   if (slot == nullptr) {
     ++shard.counters.misses;
-    return std::nullopt;
+    return nullptr;
   }
   Entry& entry = shard.slab[*slot];
   if (entry.fingerprint != request.fingerprint) {
     ++shard.counters.key_collisions;
     ++shard.counters.misses;
-    return std::nullopt;
+    return nullptr;
   }
   if (options_.ttl_seconds > 0.0 && Clock::now() >= entry.expires) {
     shard.remove(*slot);
     ++shard.counters.expirations;
     ++shard.counters.misses;
-    return std::nullopt;
+    return nullptr;
   }
   const std::uint32_t index = *slot;
   shard.unlink(index);
@@ -145,14 +161,17 @@ std::optional<CachedPlan> ShardedPlanCache::find(const CacheKey& request) {
   return shard.slab[index].cached;
 }
 
-void ShardedPlanCache::insert(const CacheKey& request,
-                              const CachedPlan& cached) {
-  insert_raw(request.key, request.fingerprint, cached);
+std::shared_ptr<const CacheEntry> ShardedPlanCache::insert(
+    const CacheKey& request, CachedPlan cached) {
+  return insert_raw(request.key, request.fingerprint, std::move(cached));
 }
 
-void ShardedPlanCache::insert_raw(std::uint64_t key,
-                                  const std::string& fingerprint,
-                                  const CachedPlan& cached) {
+std::shared_ptr<const CacheEntry> ShardedPlanCache::insert_raw(
+    std::uint64_t key, const std::string& fingerprint, CachedPlan cached) {
+  // Built before the shard lock: deriving the entry's fields costs more
+  // than the whole locked section.
+  auto built = std::make_shared<const CacheEntry>(std::move(cached));
+  const std::size_t bytes = approximate_bytes(fingerprint, *built);
   Shard& shard = shard_for(key);
   const std::lock_guard<std::mutex> lock(shard.mutex);
 
@@ -177,8 +196,8 @@ void ShardedPlanCache::insert_raw(std::uint64_t key,
   Entry& entry = shard.slab[slot];
   entry.key = key;
   entry.fingerprint = fingerprint;
-  entry.cached = cached;
-  entry.bytes = approximate_bytes(entry.fingerprint, cached);
+  entry.cached = built;
+  entry.bytes = bytes;
   if (options_.ttl_seconds > 0.0) {
     entry.expires = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                        std::chrono::duration<double>(
@@ -188,6 +207,7 @@ void ShardedPlanCache::insert_raw(std::uint64_t key,
   shard.push_front(slot);
   ++shard.counters.insertions;
   shard.enforce_budget(slot);
+  return built;
 }
 
 std::vector<ShardedPlanCache::ExportedEntry> ShardedPlanCache::export_entries()

@@ -11,6 +11,12 @@
 // Keys are 64-bit digests; the full canonical fingerprint is stored in each
 // entry and compared on every hit, so a digest collision degrades to a miss
 // (counted) instead of serving the wrong plan.
+//
+// Entries are immutable once inserted and shared: find() hands out a
+// reference-counted pointer to the resident entry, never a copy, so a hit
+// costs a refcount increment whatever the size of the plan, and an entry
+// evicted while a response still reads it stays alive until that response
+// is gone.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +27,7 @@
 #include <vector>
 
 #include "core/plan.hpp"
+#include "report/plan_report.hpp"
 #include "serve/request.hpp"
 #include "util/flat_hash.hpp"
 
@@ -38,6 +45,29 @@ struct CachedPlan {
   double creator_byte_unit = 1.0;
 
   bool feasible() const noexcept { return plan.has_value(); }
+};
+
+/// One cache entry: a CachedPlan plus what the responses served from it
+/// read, derived once. Held as `shared_ptr<const CacheEntry>` by the cache
+/// and by every response still being written from it.
+struct CacheEntry : CachedPlan {
+  /// Derives `allocation` from `cached.plan`: the one place an entry is
+  /// built, for a planner run and for a snapshot load alike.
+  explicit CacheEntry(CachedPlan cached);
+
+  /// allocation_fingerprint(plan->allocation); empty when infeasible.
+  std::string allocation;
+
+  /// The plan's ExplainSummary in canonical units (feasible entries only).
+  /// Built on the first call, from `request` canonicalized under `key` (the
+  /// key this entry is cached under), and kept: every later call, from any
+  /// thread, returns the same summary and ignores its arguments.
+  const report::ExplainSummary& explain_summary(const PlanRequest& request,
+                                                const CacheKey& key) const;
+
+ private:
+  mutable std::once_flag summary_once_;
+  mutable report::ExplainSummary summary_;
 };
 
 struct PlanCacheOptions {
@@ -64,29 +94,33 @@ class ShardedPlanCache {
   explicit ShardedPlanCache(const PlanCacheOptions& options = {});
   ~ShardedPlanCache();  ///< out of line: Shard is an incomplete type here
 
-  /// Look up the canonical key; a hit refreshes LRU recency. The fingerprint
-  /// is verified, TTL-expired entries are dropped on sight.
-  std::optional<CachedPlan> find(const CacheKey& request);
+  /// Look up the canonical key; a hit refreshes LRU recency and returns the
+  /// resident entry itself (nullptr on a miss). The fingerprint is
+  /// verified, TTL-expired entries are dropped on sight.
+  std::shared_ptr<const CacheEntry> find(const CacheKey& request);
 
-  /// Insert (or overwrite) the entry for `request`, then evict LRU tails
-  /// until the shard is back under its byte budget. The newest entry always
-  /// survives, even when it alone exceeds the budget.
-  void insert(const CacheKey& request, const CachedPlan& cached);
+  /// Build the entry for `cached` and insert it (overwriting any entry under
+  /// the same key), then evict LRU tails until the shard is back under its
+  /// byte budget. The newest entry always survives, even when it alone
+  /// exceeds the budget. Returns the inserted entry.
+  std::shared_ptr<const CacheEntry> insert(const CacheKey& request,
+                                           CachedPlan cached);
 
   /// Insert under an explicit key/fingerprint pair — the snapshot-restore
   /// path, where entries arrive from disk instead of from a request's
   /// cache key. Identical semantics to insert() otherwise.
-  void insert_raw(std::uint64_t key, const std::string& fingerprint,
-                  const CachedPlan& cached);
+  std::shared_ptr<const CacheEntry> insert_raw(std::uint64_t key,
+                                               const std::string& fingerprint,
+                                               CachedPlan cached);
 
-  /// A point-in-time copy of one resident entry, for snapshotting.
+  /// One resident entry at a point in time, for snapshotting.
   struct ExportedEntry {
     std::uint64_t key = 0;
     std::string fingerprint;
-    CachedPlan cached;
+    std::shared_ptr<const CacheEntry> cached;
   };
 
-  /// Copy out every resident (non-expired) entry, shard by shard under each
+  /// List every resident (non-expired) entry, shard by shard under each
   /// shard's lock — concurrent finds/inserts on other shards proceed. Within
   /// a shard, entries come out most-recently-used first, so a budget-capped
   /// reload keeps the hottest plans.

@@ -344,19 +344,25 @@ void write_response(json::Writer& writer, const PlanResponse& response,
     writer.value(response.error);
   }
   if (response.plan.has_value()) {
-    const Plan& plan = *response.plan;
+    // Straight from the shared cache entry: the plan is in canonical units
+    // and the times are scaled here, exactly as denormalize_plan scales
+    // them, so no denormalized Plan is built for a response.
+    const CacheEntry& entry = response.plan.entry();
+    const Plan& plan = *entry.plan;
+    const double time_unit = response.plan.time_unit();
+    const Seconds period = plan.period() * time_unit;
     writer.key("plan");
     writer.begin_object();
     writer.key("planner");
     writer.value(plan.planner);
     writer.key("period");
-    writer.value(plan.period());
+    writer.value(period);
     writer.key("phase1_period");
-    writer.value(plan.phase1_period);
+    writer.value(plan.phase1_period * time_unit);
     writer.key("throughput");
-    writer.value(plan.throughput());
+    writer.value(1.0 / period);
     writer.key("allocation");
-    writer.value(allocation_fingerprint(plan.allocation));
+    writer.value(entry.allocation);
     writer.key("num_stages");
     writer.value(plan.allocation.partitioning().num_stages());
     writer.key("pattern_ops");

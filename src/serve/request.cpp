@@ -147,7 +147,7 @@ CacheKey cache_key(const PlanRequest& request) {
   const Scale scale{key};
   std::string& fp = key.fingerprint;
   fp.reserve(192 + static_cast<std::size_t>(chain.length()) * 86);
-  fp = "madpipe-serve-key-v2|";
+  fp = kCacheKeyPrefix;
   append_int(fp, key.normalized ? 1 : 0);
   append_int(fp, platform.processors);
   append_int(fp, chain.length());

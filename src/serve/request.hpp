@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/chain.hpp"
 #include "core/plan.hpp"
@@ -43,6 +44,12 @@
 #include "madpipe/planner.hpp"
 
 namespace madpipe::serve {
+
+/// The first bytes of every fingerprint cache_key() writes. It names the
+/// fingerprint's layout and the planner behind it, so it changes whenever
+/// the same request would get a different plan; the snapshot loader skips
+/// entries stored under any other prefix, which could never hit.
+inline constexpr std::string_view kCacheKeyPrefix = "madpipe-serve-key-v2|";
 
 /// One planning request as submitted to the service.
 struct PlanRequest {

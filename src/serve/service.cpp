@@ -18,6 +18,16 @@ double seconds_since(Clock::time_point start) {
 
 }  // namespace
 
+const Plan& ServedPlan::operator*() const {
+  if (!plan_.has_value()) plan_ = denormalize_plan(*entry_->plan, time_unit_);
+  return *plan_;
+}
+
+ServedPlan::operator std::optional<Plan>() const {
+  if (!has_value()) return std::nullopt;
+  return **this;
+}
+
 const char* to_string(ResponseStatus status) noexcept {
   switch (status) {
     case ResponseStatus::Ok: return "ok";
@@ -86,7 +96,8 @@ PlanService::~PlanService() {
       PhaseTimings timings;
       timings.cache_seconds = waiter->cache_seconds;
       if (waiter->report_timings) response.phases = timings;
-      sample_completion(*waiter, response, timings);
+      sample_completion(waiter->trace_id, waiter->admission_seconds, response,
+                        timings);
       waiter->callback(std::move(response));
     }
   }
@@ -153,47 +164,46 @@ CacheOutcome PlanService::submit_impl(
     Clock::time_point submitted, ResponseCallback callback) {
   const PlanRequest& request = prepared->request;
   const CacheKey& key = prepared->key;
-  auto waiter = std::make_unique<Waiter>();
-  waiter->callback = std::move(callback);
   // The span lives in an optional so the hit/reject paths can close it
   // *before* sampling + delivery: a sampled tree must contain its own
   // serve_submit span.
   std::optional<obs::Span> span;
   span.emplace("serve_submit", obs::kCatServe);
-  std::optional<CachedPlan> cached = [&] {
+  std::shared_ptr<const CacheEntry> cached = [&] {
     obs::Span lookup("cache_lookup", obs::kCatServe);
-    std::optional<CachedPlan> result = cache_.find(key);
-    lookup.arg("hit", result.has_value() ? 1 : 0);
+    std::shared_ptr<const CacheEntry> result = cache_.find(key);
+    lookup.arg("hit", result != nullptr ? 1 : 0);
     return result;
   }();
   const double cache_seconds = seconds_since(submitted);
   const double admission_seconds =
       static_cast<double>(obs::now_ns() - ingress_ns) * 1e-9;
   counters_.requests.add();
-  waiter->id = request.id;
-  waiter->trace_id = trace_id;
-  waiter->cache_seconds = cache_seconds;
-  waiter->admission_seconds = admission_seconds;
-  waiter->submitted = submitted;
 
-  // 1. Cache: a hit completes synchronously — no queue, no planner.
-  const auto complete_hit = [&](CachedPlan& hit) {
+  // 1. Cache: a hit completes synchronously — no queue, no planner. The
+  // response shares the entry; nothing of the plan is copied.
+  const auto complete_hit = [&](std::shared_ptr<const CacheEntry> hit,
+                                ResponseCallback& deliver) {
     span->arg("outcome", static_cast<long long>(CacheOutcome::Hit));
+    if (key.time_unit != hit->creator_time_unit ||
+        key.byte_unit != hit->creator_byte_unit) {
+      // The entry was created by a request in different (power-of-two
+      // related) units: the cache is being shared across a rescale.
+      counters_.scaled_hits.add();
+    }
     PlanResponse response;
     response.id = request.id;
     response.trace_id = trace_id;
     response.cache = CacheOutcome::Hit;
-    if (hit.feasible()) {
+    if (hit->feasible()) {
       response.status = ResponseStatus::Ok;
-      response.plan = denormalize_plan(std::move(*hit.plan), key.time_unit);
       if (request.report_explain) {
-        // The request's own chain/platform are at hand here, so summarize the
-        // denormalized plan directly (bit-identical to summarizing the
-        // canonical plan and rescaling: the units are powers of two).
-        response.explain = report::build_explain_summary(
-            *response.plan, request.chain, request.platform);
+        response.explain =
+            report::scale_summary(hit->explain_summary(request, key),
+                                  key.time_unit, key.byte_unit);
         report::publish_quality(*response.explain);
       }
+      response.plan = ServedPlan(std::move(hit), key.time_unit);
     } else {
       response.status = ResponseStatus::Infeasible;
     }
@@ -203,30 +213,32 @@ CacheOutcome PlanService::submit_impl(
     }
     counters_.hit_latency.observe(response.latency_seconds);
     counters_.hits.add();
-    if (key.time_unit != hit.creator_time_unit ||
-        key.byte_unit != hit.creator_byte_unit) {
-      // The entry was created by a request in different (power-of-two
-      // related) units: the cache is being shared across a rescale.
-      counters_.scaled_hits.add();
-    }
     counters_.refresh_hit_rate();
-    waiter->outcome = CacheOutcome::Hit;
     span.reset();  // close serve_submit so the sampled tree includes it
-    sample_completion(*waiter, response,
+    sample_completion(trace_id, admission_seconds, response,
                       PhaseTimings{cache_seconds, 0.0, 0.0});
-    waiter->callback(std::move(response));
+    deliver(std::move(response));
   };
-  if (cached.has_value()) {
-    complete_hit(*cached);
+  if (cached != nullptr) {
+    complete_hit(std::move(cached), callback);
     return CacheOutcome::Hit;
   }
   // A missed probe may have expired an entry or met a key collision.
   mirror_cache();
 
+  // Only a miss needs a waiter: it carries the callback until a planner
+  // run delivers.
+  auto waiter = std::make_unique<Waiter>();
+  waiter->callback = std::move(callback);
+  waiter->id = request.id;
   waiter->time_unit = key.time_unit;
   waiter->byte_unit = key.byte_unit;
+  waiter->submitted = submitted;
   waiter->report_timings = request.report_timings;
   waiter->report_explain = request.report_explain;
+  waiter->cache_seconds = cache_seconds;
+  waiter->trace_id = trace_id;
+  waiter->admission_seconds = admission_seconds;
 
   {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -246,9 +258,9 @@ CacheOutcome PlanService::submit_impl(
     // it retires, and it retires under mutex_, so probing again here finds
     // that plan instead of enqueueing a second planner run. (Lock order:
     // mutex_, then a cache shard's; the cache never calls back in.)
-    if (std::optional<CachedPlan> late = cache_.find(key)) {
+    if (std::shared_ptr<const CacheEntry> late = cache_.find(key)) {
       lock.unlock();
-      complete_hit(*late);
+      complete_hit(std::move(late), waiter->callback);
       return CacheOutcome::Hit;
     }
     // 3. Enqueue, or reject under backpressure.
@@ -268,9 +280,8 @@ CacheOutcome PlanService::submit_impl(
       }
       counters_.rejected.add();
       counters_.refresh_hit_rate();
-      waiter->outcome = CacheOutcome::None;
       span.reset();
-      sample_completion(*waiter, response,
+      sample_completion(trace_id, admission_seconds, response,
                         PhaseTimings{cache_seconds, 0.0, 0.0});
       waiter->callback(std::move(response));
       return CacheOutcome::None;
@@ -359,20 +370,19 @@ void PlanService::run_job(Job& job) {
   // Only a miss builds the canonical profile the planner runs on.
   const CanonicalRequest canonical =
       canonicalize(job.prepared->request, job.prepared->key);
-  CachedPlan cached;
+  std::shared_ptr<const CacheEntry> entry;
   ResponseStatus status = ResponseStatus::Error;
   bool degraded = false;
   std::string error;
   try {
     counters_.planner_runs.add();
-    std::optional<Plan> plan =
-        plan_madpipe(canonical.chain, canonical.platform, options);
+    CachedPlan cached;
+    cached.plan = plan_madpipe(canonical.chain, canonical.platform, options);
     cached.creator_time_unit = canonical.time_unit;
     cached.creator_byte_unit = canonical.byte_unit;
-    if (plan.has_value()) {
-      degraded = budget_reduced && plan->stats.state_budget_hits > 0;
+    if (cached.feasible()) {
+      degraded = budget_reduced && cached.plan->stats.state_budget_hits > 0;
       status = ResponseStatus::Ok;
-      cached.plan = std::move(plan);
     } else {
       status = ResponseStatus::Infeasible;
       // A truncated search can report infeasible spuriously; that is also a
@@ -380,9 +390,12 @@ void PlanService::run_job(Job& job) {
       degraded = budget_reduced;
     }
     // Degraded results are never cached: the next request (with a healthier
-    // deadline) must get the chance to compute the real plan.
-    if (!degraded) {
-      cache_.insert(canonical, cached);
+    // deadline) must get the chance to compute the real plan. Its waiters
+    // are still served from an entry, one the cache never sees.
+    if (degraded) {
+      entry = std::make_shared<const CacheEntry>(std::move(cached));
+    } else {
+      entry = cache_.insert(canonical, std::move(cached));
       mirror_cache();
     }
   } catch (const std::exception& exception) {
@@ -408,14 +421,15 @@ void PlanService::run_job(Job& job) {
   }
 
   // With the registration retired no new waiter can attach, so the waiter
-  // list is final: compute the canonical-unit summary once if anyone asked
-  // for it (fulfill rescales it per waiter).
-  std::optional<report::ExplainSummary> canonical_summary;
+  // list is final: build the entry's canonical-unit summary if anyone asked
+  // for it (fulfill rescales it per waiter, and later explain hits reuse
+  // it). A run no waiter asked to explain never pays for one.
+  const report::ExplainSummary* canonical_summary = nullptr;
   if (status == ResponseStatus::Ok) {
     for (const std::unique_ptr<Waiter>& waiter : job.pending->waiters) {
       if (!waiter->report_explain) continue;
-      canonical_summary = report::build_explain_summary(
-          *cached.plan, canonical.chain, canonical.platform);
+      canonical_summary =
+          &entry->explain_summary(job.prepared->request, job.prepared->key);
       break;
     }
   }
@@ -427,14 +441,16 @@ void PlanService::run_job(Job& job) {
   if (status == ResponseStatus::Error) counters_.errors.add();
   counters_.refresh_hit_rate();
 
-  fulfill(*job.pending, cached, status, degraded, error, timings,
+  fulfill(*job.pending, entry, status, degraded, error, timings,
           canonical_summary);
 }
 
-void PlanService::fulfill(
-    Pending& pending, const CachedPlan& cached, ResponseStatus status,
-    bool degraded, const std::string& error, const PhaseTimings& timings,
-    const std::optional<report::ExplainSummary>& canonical_summary) {
+void PlanService::fulfill(Pending& pending,
+                          const std::shared_ptr<const CacheEntry>& entry,
+                          ResponseStatus status, bool degraded,
+                          const std::string& error,
+                          const PhaseTimings& timings,
+                          const report::ExplainSummary* canonical_summary) {
   for (std::unique_ptr<Waiter>& waiter : pending.waiters) {
     PlanResponse response;
     response.id = waiter->id;
@@ -444,8 +460,8 @@ void PlanService::fulfill(
     response.degraded = degraded;
     response.error = error;
     if (status == ResponseStatus::Ok) {
-      response.plan = denormalize_plan(*cached.plan, waiter->time_unit);
-      if (waiter->report_explain && canonical_summary.has_value()) {
+      response.plan = ServedPlan(entry, waiter->time_unit);
+      if (waiter->report_explain && canonical_summary != nullptr) {
         response.explain = report::scale_summary(
             *canonical_summary, waiter->time_unit, waiter->byte_unit);
         report::publish_quality(*response.explain);
@@ -459,17 +475,19 @@ void PlanService::fulfill(
     counters_.miss_latency.observe(response.latency_seconds);
     PhaseTimings waiter_timings = timings;
     waiter_timings.cache_seconds = waiter->cache_seconds;
-    sample_completion(*waiter, response, waiter_timings);
+    sample_completion(waiter->trace_id, waiter->admission_seconds, response,
+                      waiter_timings);
     waiter->callback(std::move(response));
   }
 }
 
-void PlanService::sample_completion(const Waiter& waiter,
+void PlanService::sample_completion(std::uint64_t trace_id,
+                                    double admission_seconds,
                                     const PlanResponse& response,
                                     const PhaseTimings& timings) {
-  if (!obs::tail_enabled() || waiter.trace_id == 0) return;
+  if (!obs::tail_enabled() || trace_id == 0) return;
   obs::SampledRequest done;
-  done.trace_id = waiter.trace_id;
+  done.trace_id = trace_id;
   done.request_id = response.id;
   done.status = to_string(response.status);
   done.cache = to_string(response.cache);
@@ -477,7 +495,7 @@ void PlanService::sample_completion(const Waiter& waiter,
   // Admission = ingress → cache probe done (frame read, parse, dispatch
   // queue, cache key, cache lookup). Queue/plan come from the job
   // and are shared by coalesced waiters.
-  done.admission_seconds = waiter.admission_seconds;
+  done.admission_seconds = admission_seconds;
   done.queue_seconds = timings.queue_seconds;
   done.plan_seconds = timings.plan_seconds;
   done.error = response.status == ResponseStatus::Rejected ||

@@ -4,12 +4,12 @@
 // submit() and submit_async() compute the key, submit_prepared() takes one
 // computed earlier), then takes the cheapest path that can serve it:
 //
-//   1. cache hit   — the stored canonical plan is rescaled to the request's
-//                    units and the future completes immediately (no queue,
-//                    no planner, microseconds);
+//   1. cache hit   — the response shares the resident cache entry and
+//                    carries the request's units; the future completes
+//                    immediately (no queue, no planner, no plan copy);
 //   2. coalesce    — an identical canonical request is already being
 //                    planned: attach to it, one planning run feeds K waiters
-//                    (each denormalized with its own units);
+//                    (each served in its own units);
 //   3. enqueue     — hand the request to the bounded worker pool; when the
 //                    queue is full the request is REJECTED immediately
 //                    (backpressure — a full queue must shed load, not grow).
@@ -64,6 +64,38 @@ struct PhaseTimings {
                                ///< waiters — one run fed them all)
 };
 
+/// The plan of an Ok response: the shared cache entry it is served from and
+/// the request's power-of-two time unit. Reads like std::optional<Plan>: the
+/// first dereference denormalizes the entry's canonical plan into request
+/// units (exact) and keeps that copy, so a caller that never dereferences —
+/// the serializer reads the entry's scalars — never builds a Plan. The kept
+/// copy makes a first dereference of one object from two threads at once a
+/// data race, as for any lazily filled value.
+class ServedPlan {
+ public:
+  ServedPlan() = default;
+  ServedPlan(std::shared_ptr<const CacheEntry> entry, double time_unit)
+      : entry_(std::move(entry)), time_unit_(time_unit) {}
+
+  bool has_value() const noexcept { return entry_ != nullptr; }
+  explicit operator bool() const noexcept { return has_value(); }
+
+  /// The plan in request units. Requires has_value().
+  const Plan& operator*() const;
+  const Plan* operator->() const { return &**this; }
+  /// A copy of the plan in request units, or nullopt.
+  operator std::optional<Plan>() const;
+
+  /// The shared entry (canonical units). Requires has_value().
+  const CacheEntry& entry() const noexcept { return *entry_; }
+  double time_unit() const noexcept { return time_unit_; }
+
+ private:
+  std::shared_ptr<const CacheEntry> entry_;  ///< feasible when non-null
+  double time_unit_ = 1.0;
+  mutable std::optional<Plan> plan_;  ///< denormalized on first dereference
+};
+
 struct PlanResponse {
   std::string id;
   ResponseStatus status = ResponseStatus::Error;
@@ -71,7 +103,7 @@ struct PlanResponse {
   /// The deadline forced a reduced DP state budget AND the valve actually
   /// truncated the search: the result is best-effort, not the full plan.
   bool degraded = false;
-  std::optional<Plan> plan;  ///< in request units; present iff status == Ok
+  ServedPlan plan;  ///< in request units; present iff status == Ok
   std::string error;
   double latency_seconds = 0.0;  ///< submit → completion
   /// Present iff the request set report_timings.
@@ -167,10 +199,11 @@ class PlanService {
   const ShardedPlanCache& cache() const { return cache_; }
 
  private:
+  /// A request that missed the cache, waiting for a planner run.
   struct Waiter {
     ResponseCallback callback;
     std::string id;
-    double time_unit = 1.0;  ///< for per-waiter denormalization
+    double time_unit = 1.0;  ///< this waiter's units, for its response
     double byte_unit = 1.0;  ///< for per-waiter ExplainSummary rescaling
     std::chrono::steady_clock::time_point submitted;
     CacheOutcome outcome = CacheOutcome::Miss;
@@ -208,19 +241,23 @@ class PlanService {
       ResponseCallback callback);
   /// Hand the completed request to the tail sampler (no-op when sampling
   /// is disarmed). Called after the request's spans have closed and
-  /// before delivery.
-  static void sample_completion(const Waiter& waiter,
+  /// before delivery. `admission_seconds` is ingress → cache probe done.
+  static void sample_completion(std::uint64_t trace_id,
+                                double admission_seconds,
                                 const PlanResponse& response,
                                 const PhaseTimings& timings);
 
   void worker_loop();
   void run_job(Job& job);
   /// `timings.cache_seconds` is per-waiter and filled in here; queue/plan
-  /// seconds are the job's and shared by every waiter.
-  void fulfill(Pending& pending, const CachedPlan& cached,
+  /// seconds are the job's and shared by every waiter. `entry` is null
+  /// unless status is Ok; `canonical_summary` is set iff a waiter asked
+  /// for one.
+  void fulfill(Pending& pending,
+               const std::shared_ptr<const CacheEntry>& entry,
                ResponseStatus status, bool degraded, const std::string& error,
                const PhaseTimings& timings,
-               const std::optional<report::ExplainSummary>& canonical_summary);
+               const report::ExplainSummary* canonical_summary);
 
   ServiceOptions options_;
   ShardedPlanCache cache_;

@@ -201,10 +201,10 @@ SnapshotSaveResult save_cache_snapshot(const ShardedPlanCache& cache,
   for (const ShardedPlanCache::ExportedEntry& entry : entries) {
     enc.u64(entry.key);
     enc.str(entry.fingerprint);
-    enc.f64(entry.cached.creator_time_unit);
-    enc.f64(entry.cached.creator_byte_unit);
-    enc.u8(entry.cached.plan.has_value() ? 1 : 0);
-    if (entry.cached.plan.has_value()) encode_plan(enc, *entry.cached.plan);
+    enc.f64(entry.cached->creator_time_unit);
+    enc.f64(entry.cached->creator_byte_unit);
+    enc.u8(entry.cached->feasible() ? 1 : 0);
+    if (entry.cached->feasible()) encode_plan(enc, *entry.cached->plan);
   }
   const std::string& payload = enc.buffer();
   enc.u64(fnv1a(payload.data(), payload.size()));
@@ -310,12 +310,15 @@ SnapshotLoadResult load_cache_snapshot(ShardedPlanCache& cache,
       cached.plan = std::move(plan);
     }
     // Fingerprint verification: the key must be the digest of the stored
-    // fingerprint, exactly as cache_key() would compute it today.
-    if (fingerprint_digest(fingerprint) != key) {
+    // fingerprint, exactly as cache_key() would compute it today, and the
+    // fingerprint must carry today's prefix — an entry written under an
+    // older one is intact but no request can ever hit it.
+    if (fingerprint_digest(fingerprint) != key ||
+        !fingerprint.starts_with(kCacheKeyPrefix)) {
       ++result.rejected;
       continue;
     }
-    cache.insert_raw(key, fingerprint, cached);
+    cache.insert_raw(key, fingerprint, std::move(cached));
     ++result.loaded;
   }
   result.ok = true;

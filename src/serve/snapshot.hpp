@@ -50,7 +50,10 @@ struct SnapshotSaveResult {
 struct SnapshotLoadResult {
   bool ok = false;           ///< file parsed and checksum verified
   std::size_t loaded = 0;    ///< entries inserted into the cache
-  std::size_t rejected = 0;  ///< entries whose key failed digest verification
+  /// Entries whose key failed digest verification or whose fingerprint
+  /// lacks today's kCacheKeyPrefix (written by a build that planned
+  /// differently; such an entry could never hit).
+  std::size_t rejected = 0;
   std::string error;
 };
 
@@ -63,8 +66,9 @@ SnapshotSaveResult save_cache_snapshot(const ShardedPlanCache& cache,
 /// Parse, checksum-verify and load a snapshot into `cache` (via the normal
 /// insert path, so byte budgets and LRU order apply — entries are stored
 /// hottest-first, which keeps the hottest plans under a smaller budget).
-/// Each entry's key must equal fingerprint_digest(fingerprint); mismatches
-/// are skipped and counted in `rejected`, they never poison the cache.
+/// Each entry's key must equal fingerprint_digest(fingerprint) and its
+/// fingerprint must start with kCacheKeyPrefix; other entries are skipped
+/// and counted in `rejected`, they never poison the cache.
 SnapshotLoadResult load_cache_snapshot(ShardedPlanCache& cache,
                                        const std::string& path);
 

@@ -90,13 +90,21 @@ void Writer::value(const char* v) { value(std::string(v)); }
 void Writer::value(double v) {
   maybe_comma();
   if (std::isfinite(v)) {
-    // Shortest representation that round-trips exactly.
-    char buf[48];
+    // The first of %.15g, %.16g, %.17g that reads back exactly. to_chars
+    // in general format writes the bytes printf("%.*g") writes, and
+    // from_chars reads what strtod reads, without the locale and the
+    // format-string parsing.
+    char buf[32];
+    char* end = buf;
     for (const int precision : {15, 16, 17}) {
-      std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-      if (std::strtod(buf, nullptr) == v) break;
+      end = std::to_chars(buf, buf + sizeof(buf), v,
+                          std::chars_format::general, precision)
+                .ptr;
+      double back = 0.0;
+      std::from_chars(buf, end, back);
+      if (back == v) break;
     }
-    out_ += buf;
+    out_.append(buf, end);
   } else {
     out_ += "null";  // JSON has no Inf/NaN literal
   }

@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "util/expect.hpp"
 
@@ -310,6 +312,67 @@ TEST(JsonParse, WrongAccessorThrows) {
   ASSERT_TRUE(result.ok());
   EXPECT_THROW(result.value.as_string(), ContractViolation);
   EXPECT_THROW(result.value.items(), ContractViolation);
+}
+
+/// The writer's number rule spelled with printf and strtod: the first of
+/// %.15g, %.16g, %.17g that reads back exactly.
+std::string printf_reference(double v) {
+  char buf[48];
+  for (const int precision : {15, 16, 17}) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+std::string written(double v) {
+  Writer w;
+  w.begin_array();
+  w.value(v);
+  w.end_array();
+  const std::string text = w.str();
+  return text.substr(1, text.size() - 2);
+}
+
+TEST(JsonWriter, DoubleBytesMatchPrintfReference) {
+  std::vector<double> values = {
+      0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+      std::numeric_limits<double>::min() / 2,
+      std::numeric_limits<double>::min(), 1e-5, 1e-4, 9.99999e-5, 1e15,
+      1e16, 1e17, 1e21, 1e22, 1e23, std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      // Precision boundaries: 15, 16 and 17 significant digits.
+      0.1, 0.3, 1.0 / 3.0, 2.0 / 3.0, 0.1 + 0.2, 9007199254740992.0,
+      9007199254740991.0, 123456789012345.0, 1234567890123456.0,
+      12345678901234567.0, 999999999999999.0, 9999999999999998.0,
+      0.999999999999999, 0.9999999999999999, 1.0 - 0x1p-53, 1.0 + 0x1p-52,
+      4.35, 0.01482, 67.47638326585695, 16.869095816464238};
+  std::uint64_t state = 0x2545f4914f6cdd1dull;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state;
+  };
+  for (int i = 0; i < 20000; ++i) {
+    // Random bit patterns over the whole exponent range.
+    values.push_back(std::bit_cast<double>(next()));
+    // Dyadic values, as power-of-two unit scaling produces them.
+    const std::uint64_t r = next();
+    values.push_back(std::ldexp(static_cast<double>(r >> 11),
+                                static_cast<int>(r % 160) - 120));
+    // Millisecond-scale times and their products, as plans carry them.
+    const double millis = static_cast<double>(next() % 1000000) * 1e-3;
+    values.push_back(millis);
+    values.push_back(millis * 1e-3 * (1.0 + 0.37 * static_cast<double>(i % 9)));
+    values.push_back(1.0 / (millis + 1e-3));
+  }
+  int compared = 0;
+  for (const double v : values) {
+    if (!std::isfinite(v)) continue;
+    ASSERT_EQ(written(v), printf_reference(v))
+        << std::hex << std::bit_cast<std::uint64_t>(v);
+    ++compared;
+  }
+  EXPECT_GT(compared, 99000);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "madpipe/planner.hpp"
+
 namespace madpipe::serve {
 namespace {
 
@@ -31,10 +33,10 @@ CachedPlan feasible_plan(double period = 0.5) {
 TEST(ServeCache, InsertFindRoundTrip) {
   ShardedPlanCache cache;
   const CacheKey request = synthetic(42, "fp42");
-  EXPECT_FALSE(cache.find(request).has_value());
+  EXPECT_EQ(cache.find(request), nullptr);
   cache.insert(request, feasible_plan(0.25));
-  const std::optional<CachedPlan> hit = cache.find(request);
-  ASSERT_TRUE(hit.has_value());
+  const std::shared_ptr<const CacheEntry> hit = cache.find(request);
+  ASSERT_NE(hit, nullptr);
   ASSERT_TRUE(hit->feasible());
   EXPECT_EQ(hit->plan->pattern.period, 0.25);
   const PlanCacheCounters counters = cache.counters();
@@ -44,12 +46,74 @@ TEST(ServeCache, InsertFindRoundTrip) {
   EXPECT_GT(counters.bytes, 0);
 }
 
+// find() hands out the resident entry itself, not a copy; the entry's
+// derived fields are computed once at insert, and an entry evicted while a
+// response still holds it stays readable.
+TEST(ServeCache, FindSharesOneEntry) {
+  PlanCacheOptions options;
+  options.shards = 1;
+  options.byte_budget = 1;  // every insert evicts everything older
+  ShardedPlanCache cache(options);
+  const CacheKey a = synthetic(1, "a");
+  const std::shared_ptr<const CacheEntry> inserted =
+      cache.insert(a, feasible_plan(0.25));
+  const std::shared_ptr<const CacheEntry> first = cache.find(a);
+  const std::shared_ptr<const CacheEntry> second = cache.find(a);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first.get(), second.get());
+  EXPECT_EQ(first.get(), inserted.get());
+  EXPECT_EQ(first->allocation, allocation_fingerprint(first->plan->allocation));
+  EXPECT_EQ(first->allocation, "1-2@0");
+
+  cache.insert(synthetic(2, "b"), feasible_plan(0.5));
+  EXPECT_EQ(cache.find(a), nullptr);  // evicted from the cache...
+  EXPECT_EQ(cache.counters().evictions, 1);
+  ASSERT_TRUE(first->feasible());  // ...but alive while it is held
+  EXPECT_EQ(first->plan->pattern.period, 0.25);
+  EXPECT_EQ(first->allocation, "1-2@0");
+}
+
+// The explain summary is built on first use, once, whichever thread gets
+// there first; every caller reads the same summary.
+TEST(ServeCache, ExplainSummaryIsBuiltOnceAcrossThreads) {
+  const Chain chain = make_uniform_chain(4, ms(2), ms(4), MB, 8 * MB, MB);
+  MadPipeOptions planner;
+  planner.phase1.dp.grid = Discretization::coarse();
+  const PlanRequest request{"x", chain, Platform{2, 4 * GB, 12 * GB},
+                            planner, 0.0};
+  const CacheKey key = cache_key(request);
+  const CanonicalRequest canonical = canonicalize(request, key);
+  CachedPlan cached;
+  cached.plan = plan_madpipe(canonical.chain, canonical.platform, planner);
+  ASSERT_TRUE(cached.feasible());
+  const report::ExplainSummary expected = report::build_explain_summary(
+      *cached.plan, canonical.chain, canonical.platform);
+
+  ShardedPlanCache cache;
+  cache.insert(key, std::move(cached));
+  std::vector<const report::ExplainSummary*> seen(4, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back([&, t] {
+      seen[t] = &cache.find(key)->explain_summary(request, key);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const report::ExplainSummary* summary : seen) {
+    EXPECT_EQ(summary, seen[0]);
+  }
+  EXPECT_EQ(seen[0]->period, expected.period);
+  EXPECT_EQ(seen[0]->critical_resource, expected.critical_resource);
+  EXPECT_EQ(seen[0]->memory_peak_bytes, expected.memory_peak_bytes);
+  EXPECT_EQ(seen[0]->mean_gpu_utilization, expected.mean_gpu_utilization);
+}
+
 TEST(ServeCache, NegativeCachingStoresInfeasible) {
   ShardedPlanCache cache;
   const CacheKey request = synthetic(7, "fp7");
   cache.insert(request, CachedPlan{});
-  const std::optional<CachedPlan> hit = cache.find(request);
-  ASSERT_TRUE(hit.has_value());
+  const std::shared_ptr<const CacheEntry> hit = cache.find(request);
+  ASSERT_NE(hit, nullptr);
   EXPECT_FALSE(hit->feasible());
 }
 
@@ -59,8 +123,8 @@ TEST(ServeCache, OverwriteSameKeyKeepsOneEntry) {
   cache.insert(request, feasible_plan(1.0));
   cache.insert(request, feasible_plan(2.0));
   EXPECT_EQ(cache.counters().entries, 1);
-  const std::optional<CachedPlan> hit = cache.find(request);
-  ASSERT_TRUE(hit.has_value());
+  const std::shared_ptr<const CacheEntry> hit = cache.find(request);
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->plan->pattern.period, 2.0);
 }
 
@@ -70,10 +134,10 @@ TEST(ServeCache, DigestCollisionIsAMissNotAWrongPlan) {
   const CacheKey a = synthetic(1234, "fingerprint-a");
   const CacheKey b = synthetic(1234, "fingerprint-b");
   cache.insert(a, feasible_plan(1.0));
-  EXPECT_FALSE(cache.find(b).has_value());
+  EXPECT_EQ(cache.find(b), nullptr);
   EXPECT_EQ(cache.counters().key_collisions, 1);
   // The colliding entry is still intact for its real owner.
-  EXPECT_TRUE(cache.find(a).has_value());
+  EXPECT_NE(cache.find(a), nullptr);
 }
 
 TEST(ServeCache, ByteBudgetEvictsLeastRecentlyUsed) {
@@ -85,8 +149,8 @@ TEST(ServeCache, ByteBudgetEvictsLeastRecentlyUsed) {
   const CacheKey b = synthetic(2, "b");
   cache.insert(a, feasible_plan());
   cache.insert(b, feasible_plan());
-  EXPECT_FALSE(cache.find(a).has_value());  // evicted as LRU tail
-  EXPECT_TRUE(cache.find(b).has_value());   // newest always survives
+  EXPECT_EQ(cache.find(a), nullptr);  // evicted as LRU tail
+  EXPECT_NE(cache.find(b), nullptr);   // newest always survives
   EXPECT_GE(cache.counters().evictions, 1);
   EXPECT_EQ(cache.counters().entries, 1);
 }
@@ -109,10 +173,10 @@ TEST(ServeCache, LruRefreshOnHitProtectsHotEntries) {
   const CacheKey b = synthetic(2, "b");
   small.insert(a, feasible_plan());
   small.insert(b, feasible_plan());
-  EXPECT_TRUE(small.find(a).has_value());  // refresh a; b is now the tail
+  EXPECT_NE(small.find(a), nullptr);  // refresh a; b is now the tail
   small.insert(synthetic(3, "c"), feasible_plan());
-  EXPECT_TRUE(small.find(a).has_value());
-  EXPECT_FALSE(small.find(b).has_value());
+  EXPECT_NE(small.find(a), nullptr);
+  EXPECT_EQ(small.find(b), nullptr);
 }
 
 TEST(ServeCache, TtlExpiresEntries) {
@@ -122,7 +186,7 @@ TEST(ServeCache, TtlExpiresEntries) {
   const CacheKey request = synthetic(5, "fp5");
   cache.insert(request, feasible_plan());
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  EXPECT_FALSE(cache.find(request).has_value());
+  EXPECT_EQ(cache.find(request), nullptr);
   EXPECT_EQ(cache.counters().expirations, 1);
   EXPECT_EQ(cache.counters().entries, 0);
 }
@@ -158,7 +222,7 @@ TEST(ServeCache, ConcurrentMixedOperationsStayConsistent) {
             synthetic(key, "fp" + std::to_string(key));
         if (i % 3 == 0) {
           cache.insert(request, feasible_plan());
-        } else if (cache.find(request).has_value()) {
+        } else if (cache.find(request) != nullptr) {
           observed_hits.fetch_add(1, std::memory_order_relaxed);
         }
       }

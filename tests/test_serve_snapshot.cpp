@@ -207,6 +207,69 @@ TEST(ServeSnapshot, TamperedKeyFailsFingerprintVerification) {
   std::remove(path.c_str());
 }
 
+TEST(ServeSnapshot, StaleKeyPrefixIsRejected) {
+  const std::string path = snapshot_path("stale");
+  PlanService service;
+  service.plan(make_request("x"));
+  ASSERT_TRUE(save_cache_snapshot(service.cache(), path).ok);
+
+  // Rewrite the one entry as an older build would have stored it: the
+  // fingerprint under the v1 prefix, its key the digest of that fingerprint
+  // (so digest verification alone would pass it), the checksum re-stamped.
+  std::string data = slurp(path);
+  const std::size_t key_offset = 21 + 4 + 8;
+  const std::size_t fingerprint_offset = key_offset + 8 + 4;
+  std::uint32_t length = 0;
+  std::memcpy(&length, data.data() + key_offset + 8, sizeof(length));
+  ASSERT_GT(data.size(), fingerprint_offset + length);
+  std::string fingerprint = data.substr(fingerprint_offset, length);
+  ASSERT_TRUE(fingerprint.starts_with(kCacheKeyPrefix));
+  const std::string v1_prefix = "madpipe-serve-key-v1|";
+  ASSERT_EQ(v1_prefix.size(), kCacheKeyPrefix.size());
+  fingerprint.replace(0, v1_prefix.size(), v1_prefix);
+  data.replace(fingerprint_offset, length, fingerprint);
+  const std::uint64_t key = fingerprint_digest(fingerprint);
+  std::memcpy(data.data() + key_offset, &key, sizeof(key));
+  restamp_checksum(data);
+  spit(path, data);
+
+  PlanService fresh;
+  const SnapshotLoadResult loaded = load_cache_snapshot(fresh.cache(), path);
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  EXPECT_EQ(loaded.loaded, 0u);
+  EXPECT_EQ(loaded.rejected, 1u);
+  EXPECT_EQ(fresh.cache_counters().entries, 0);
+  std::remove(path.c_str());
+}
+
+// A reloaded entry carries no explain summary; the first explain hit on it
+// builds one, equal to the summary the pre-restart miss served.
+TEST(ServeSnapshot, ExplainHitOnReloadedEntryMatchesTheMiss) {
+  const std::string path = snapshot_path("explain");
+  PlanRequest request = make_request("x");
+  request.report_explain = true;
+  PlanService before;
+  const PlanResponse miss = before.plan(request);
+  ASSERT_TRUE(miss.explain.has_value());
+  ASSERT_TRUE(save_cache_snapshot(before.cache(), path).ok);
+
+  PlanService after;
+  ASSERT_EQ(load_cache_snapshot(after.cache(), path).loaded, 1u);
+  const PlanResponse hit = after.plan(request);
+  EXPECT_EQ(hit.cache, CacheOutcome::Hit);
+  ASSERT_TRUE(hit.explain.has_value());
+  EXPECT_EQ(hit.explain->period, miss.explain->period);
+  EXPECT_EQ(hit.explain->period, hit.plan->period());
+  EXPECT_EQ(hit.explain->critical_resource, miss.explain->critical_resource);
+  EXPECT_EQ(hit.explain->memory_peak_bytes, miss.explain->memory_peak_bytes);
+  EXPECT_EQ(hit.explain->memory_headroom_bytes,
+            miss.explain->memory_headroom_bytes);
+  EXPECT_EQ(hit.explain->mean_gpu_utilization,
+            miss.explain->mean_gpu_utilization);
+  EXPECT_EQ(after.stats().planner_runs, 0);
+  std::remove(path.c_str());
+}
+
 TEST(ServeSnapshot, SaveIsConsistentUnderConcurrentServing) {
   const std::string path = snapshot_path("underload");
   PlanService service;

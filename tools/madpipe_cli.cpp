@@ -824,7 +824,9 @@ void serve_cache_load(serve::PlanService& service, const std::string& path) {
   std::fprintf(stderr, "cache warm-up: %zu entries loaded from %s",
                result.loaded, path.c_str());
   if (result.rejected > 0) {
-    std::fprintf(stderr, " (%zu rejected by fingerprint verification)",
+    std::fprintf(stderr,
+                 " (%zu rejected: key/fingerprint mismatch or a cache-key "
+                 "prefix other than this build's)",
                  result.rejected);
   }
   std::fprintf(stderr, "\n");
