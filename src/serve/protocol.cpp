@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "core/types.hpp"
 #include "obs/trace.hpp"
@@ -313,6 +314,10 @@ void write_response(json::Writer& writer, const PlanResponse& response,
     writer.value(response.phases->queue_seconds * 1e3);
     writer.key("plan_ms");
     writer.value(response.phases->plan_seconds * 1e3);
+    writer.key("phase1_ms");
+    writer.value(response.phases->phase1_seconds * 1e3);
+    writer.key("phase2_ms");
+    writer.value(response.phases->phase2_seconds * 1e3);
     writer.end_object();
   }
   if (response.explain.has_value()) {
@@ -380,7 +385,7 @@ std::string response_to_json(const PlanResponse& response,
                              bool include_stats) {
   json::Writer writer;
   write_response(writer, response, include_stats);
-  return writer.str();
+  return std::move(writer).str();
 }
 
 std::string batch_to_json(const std::vector<PlanResponse>& responses,
@@ -398,7 +403,7 @@ std::string batch_to_json(const std::vector<PlanResponse>& responses,
   writer.key("stats");
   stats.write_json(writer);
   writer.end_object();
-  return writer.str();
+  return std::move(writer).str();
 }
 
 PlanResponse error_response(const std::string& id, const std::string& error) {

@@ -15,14 +15,16 @@
 //   batch    = {"requests": [request, ...]}   (or a bare array, or one object)
 //   response = {"id": "r1", "status": "ok", "cache": "miss",
 //               "degraded": false, "latency_ms": 312.4,
-//               "phases": {"cache_ms": ..., "queue_ms": ..., "plan_ms": ...},
+//               "phases": {"cache_ms": ..., "queue_ms": ..., "plan_ms": ...,
+//                          "phase1_ms": ..., "phase2_ms": ...},
 //               "plan": {...}}
 //   batch response = {"schema": "madpipe-serve-v1", "responses": [...],
 //                     "stats": {...}}
 //
 // `options.timings` opts a request into the per-phase latency breakdown
-// ("phases" in its response); it is serve-level only and never part of the
-// plan-cache key.
+// ("phases" in its response; phase1_ms and phase2_ms are the planner's two
+// phases inside plan_ms, and a hit reports 0 for everything but cache_ms);
+// it is serve-level only and never part of the plan-cache key.
 #pragma once
 
 #include <string>

@@ -57,7 +57,8 @@ struct PlanRequest {
   Chain chain;
   Platform platform;
   /// Planner options; the protocol's "madpipe-contig" planner is
-  /// `options.phase1.dp.allow_special = false`.
+  /// `options.phase1.dp.allow_special = false`. The speculation widths are
+  /// not read: PlanService plans every miss at one lane.
   MadPipeOptions options;
   /// Wall-clock budget for this request; 0 = none. Overrunning requests are
   /// not killed — their DP state budget is shrunk so they degrade to a

@@ -62,6 +62,10 @@ struct PhaseTimings {
   double queue_seconds = 0.0;  ///< enqueue → a worker dequeued the job
   double plan_seconds = 0.0;   ///< planner wall time (shared by coalesced
                                ///< waiters — one run fed them all)
+  /// The planned Plan's PlannerStats phase wall clocks, inside
+  /// plan_seconds (0 when the run produced no plan).
+  double phase1_seconds = 0.0;
+  double phase2_seconds = 0.0;
 };
 
 /// The plan of an Ok response: the shared cache entry it is served from and
@@ -131,7 +135,7 @@ struct ServiceOptions {
   /// this many states per probe so "degraded" still means "tried".
   std::size_t min_state_budget = 20'000;
   /// Probes a deadline is spread over (Algorithm 1 runs `iterations` DP
-  /// probes; speculative extras run concurrently and share the wall clock).
+  /// probes, one after another: the service plans each miss at one lane).
   int expected_probes = 10;
 };
 

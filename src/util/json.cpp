@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <system_error>
+#include <utility>
 
 #include "util/expect.hpp"
 
@@ -19,7 +20,7 @@ void Writer::maybe_comma() {
   pending_key_ = false;
 }
 
-void Writer::append_escaped(const std::string& raw) {
+void Writer::append_escaped(std::string_view raw) {
   out_ += '"';
   for (const char c : raw) {
     switch (c) {
@@ -71,7 +72,7 @@ void Writer::end_array() {
   has_items_.pop_back();
 }
 
-void Writer::key(const std::string& name) {
+void Writer::key(std::string_view name) {
   MP_EXPECT(!scopes_.empty() && scopes_.back() == Scope::Object,
             "key() only valid inside an object");
   maybe_comma();
@@ -80,12 +81,10 @@ void Writer::key(const std::string& name) {
   pending_key_ = true;
 }
 
-void Writer::value(const std::string& v) {
+void Writer::value(std::string_view v) {
   maybe_comma();
   append_escaped(v);
 }
-
-void Writer::value(const char* v) { value(std::string(v)); }
 
 void Writer::value(double v) {
   maybe_comma();
@@ -125,9 +124,14 @@ void Writer::null() {
   out_ += "null";
 }
 
-std::string Writer::str() const {
+std::string Writer::str() const& {
   MP_EXPECT(scopes_.empty(), "document has unterminated scopes");
   return out_;
+}
+
+std::string Writer::str() && {
+  MP_EXPECT(scopes_.empty(), "document has unterminated scopes");
+  return std::move(out_);
 }
 
 Value Value::make_bool(bool v) {

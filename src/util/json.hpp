@@ -27,9 +27,10 @@ class Writer {
   void end_object();
   void begin_array();
   void end_array();
-  void key(const std::string& name);
-  void value(const std::string& v);
-  void value(const char* v);
+  void key(std::string_view name);
+  void value(std::string_view v);
+  /// Keeps a literal from taking the pointer-to-bool conversion.
+  void value(const char* v) { value(std::string_view(v)); }
   void value(double v);
   void value(long long v);
   void value(int v) { value(static_cast<long long>(v)); }
@@ -37,13 +38,15 @@ class Writer {
   void value(bool v);
   void null();
 
-  /// Final document; valid once all begun scopes are ended.
-  std::string str() const;
+  /// Final document; valid once all begun scopes are ended. The rvalue
+  /// overload (`std::move(w).str()`) moves the document out, no copy.
+  std::string str() const&;
+  std::string str() &&;
 
  private:
   enum class Scope { Object, Array };
   void maybe_comma();
-  void append_escaped(const std::string& raw);
+  void append_escaped(std::string_view raw);
 
   std::string out_;
   std::vector<Scope> scopes_;

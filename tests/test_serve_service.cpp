@@ -460,6 +460,36 @@ TEST(ServeService, StatsSnapshotIsCoherent) {
   EXPECT_GT(stats.hit_p50_seconds, 0.0);
 }
 
+// The service plans every miss at one lane, whatever speculation width the
+// request carries: no probe runs ahead of need in either phase, and the
+// plan is the one plan_madpipe returns at its default (auto) width.
+TEST(ServeService, MissPlansAtOneLane) {
+  PlanRequest noncontig{"noncontig", models::paper_network("resnet50"),
+                        Platform{4, 8 * GB, 12 * GB}, MadPipeOptions{}, 0.0};
+  PlanRequest contig{"contig", models::paper_network("resnet50"),
+                     Platform{8, 4 * GB, 12 * GB}, MadPipeOptions{}, 0.0};
+  contig.options.phase1.speculation = 4;
+  contig.options.phase2.speculation = 4;
+
+  PlanService service;
+  for (const PlanRequest* request : {&noncontig, &contig}) {
+    SCOPED_TRACE(request->id);
+    const std::optional<Plan> direct =
+        plan_madpipe(request->chain, request->platform, MadPipeOptions{});
+    ASSERT_TRUE(direct.has_value());
+    EXPECT_EQ(direct->allocation.contiguous(), request == &contig);
+
+    const PlanResponse miss = service.plan(*request);
+    ASSERT_EQ(miss.status, ResponseStatus::Ok);
+    EXPECT_EQ(miss.cache, CacheOutcome::Miss);
+    ASSERT_TRUE(miss.plan.has_value());
+    EXPECT_GT(miss.plan->stats.phase1_probes, 0);
+    EXPECT_EQ(miss.plan->stats.speculative_probes, 0);
+    EXPECT_EQ(miss.plan->stats.phase2_speculative_probes, 0);
+    EXPECT_TRUE(plans_bit_identical(*miss.plan, *direct));
+  }
+}
+
 // The cache gauges on /metrics follow the cache as the service changes it:
 // `madpipe serve --listen` never calls stats(), so a planned, cached miss
 // must show up without one.
