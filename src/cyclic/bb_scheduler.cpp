@@ -5,32 +5,13 @@
 #include <map>
 #include <vector>
 
+#include "cyclic/free_gaps.hpp"
 #include "obs/trace.hpp"
 #include "util/expect.hpp"
 
 namespace madpipe {
 
 namespace {
-
-struct CircleInterval {
-  Seconds position;  ///< start on the circle, in [0, T)
-  Seconds duration;
-};
-
-/// Search state for one resource. The DFS places ops in chain order and
-/// unplaces them last-in first-out, so while n intervals are placed they are
-/// those of the first n ops on the resource, as the current path placed
-/// them. Their free-gap list is cached as gaps[n]: placing the (n+1)-th
-/// interval invalidates gaps[n + 1] (a new state), and unplacing it returns
-/// to the unchanged state whose list gaps[n] still holds.
-struct ResourceState {
-  struct Gaps {
-    std::vector<CircleInterval> list;
-    bool valid = false;
-  };
-  std::vector<CircleInterval> placed;  ///< sorted by position
-  std::vector<Gaps> gaps;              ///< one level per op on it, plus one
-};
 
 class Search {
  public:
@@ -54,10 +35,13 @@ class Search {
               .emplace(op.resource, static_cast<int>(resource_index.size()))
               .first->second);
     }
-    occupied_.resize(resource_index.size());
-    for (ResourceState& state : occupied_) state.gaps.emplace_back();
-    for (const int r : op_resource_) occupied_[r].gaps.emplace_back();
-    slot_.assign(problem.ops.size(), 0);
+    std::vector<std::size_t> ops_on(resource_index.size(), 0);
+    for (const int r : op_resource_) ++ops_on[r];
+    occupied_.reserve(resource_index.size());
+    for (const std::size_t count : ops_on) {
+      occupied_.emplace_back(period, eps_);
+      occupied_.back().reserve(count);
+    }
     candidate_buffers_.resize(problem.ops.size());
 
     const int num_stages = allocation.partitioning().num_stages();
@@ -92,43 +76,6 @@ class Search {
     return static_cast<long long>(std::floor(z / period_ + 1e-9));
   }
 
-  /// std::fmod(x, T), bit for bit: on [0, 2T) fmod's exact result is x or
-  /// x − T, and x − T is exact there (Sterbenz's lemma).
-  Seconds circle_mod(Seconds x) const {
-    if (x >= 0.0 && x < 2.0 * period_) return x < period_ ? x : x - period_;
-    return std::fmod(x, period_);
-  }
-
-  /// Free gaps on a resource circle, as (start, length) with start ∈ [0,T).
-  /// `state.placed` is sorted by position; at most the last interval wraps
-  /// past T, and disjointness guarantees the first interval starts after
-  /// its tail. The list is a function of `state.placed` alone, so it is
-  /// computed once per state (see ResourceState).
-  const std::vector<CircleInterval>& free_gaps(ResourceState& state) const {
-    const std::vector<CircleInterval>& placed = state.placed;
-    ResourceState::Gaps& level = state.gaps[placed.size()];
-    std::vector<CircleInterval>& gaps = level.list;
-    if (level.valid) return gaps;
-    level.valid = true;
-    gaps.clear();
-    if (placed.empty()) {
-      gaps.push_back(CircleInterval{0.0, period_});
-      return gaps;
-    }
-    Seconds cursor = placed.front().position + placed.front().duration;
-    for (std::size_t i = 1; i < placed.size(); ++i) {
-      const Seconds gap = placed[i].position - cursor;
-      if (gap > eps_) gaps.push_back(CircleInterval{cursor, gap});
-      cursor = std::max(cursor, placed[i].position + placed[i].duration);
-    }
-    // Wrap-around gap: from the last end back to the first start (+T).
-    const Seconds wrap_gap = placed.front().position + period_ - cursor;
-    if (wrap_gap > eps_) {
-      gaps.push_back(CircleInterval{circle_mod(cursor), wrap_gap});
-    }
-    return gaps;
-  }
-
   /// Earliest z ≥ ready whose circle position lies in [w0, w0+width]
   /// (width ≥ 0; the window may wrap past T), where r0 = ready mod T and
   /// base = ready − r0.
@@ -154,10 +101,9 @@ class Search {
       zs.push_back(ready);
       return zs;
     }
-    const Seconds r0 = circle_mod(ready);
+    const Seconds r0 = circle_mod(ready, period_);
     const Seconds base = ready - r0;
-    for (const CircleInterval& gap :
-         free_gaps(occupied_[op_resource_[index]])) {
+    for (const FreeGapStack::Gap& gap : occupied_[op_resource_[index]].gaps()) {
       if (gap.duration + eps_ < op.duration) continue;
       const Seconds slack = gap.duration - op.duration;
       // Earliest fit in the gap (memory-cheapest), plus the left- and
@@ -167,7 +113,7 @@ class Search {
       zs.push_back(earliest_in_window(ready, r0, base, gap.position, slack));
       if (slack > eps_) {
         zs.push_back(earliest_in_window(ready, r0, base, gap.position, 0.0));
-        const Seconds right = circle_mod(gap.position + slack);
+        const Seconds right = circle_mod(gap.position + slack, period_);
         zs.push_back(earliest_in_window(ready, r0, base, right, 0.0));
       }
     }
@@ -183,32 +129,15 @@ class Search {
     return zs;
   }
 
-  /// Insert op `index`'s interval at z and remember its slot: under LIFO
-  /// backtracking every interval inserted after it is gone again by its
-  /// unplace, so the slot still holds it then.
   void place(std::size_t index, Seconds z) {
-    const CyclicOp& op = problem_.ops[index];
-    if (op.duration <= eps_) return;
-    ResourceState& state = occupied_[op_resource_[index]];
-    std::vector<CircleInterval>& placed = state.placed;
-    const Seconds phi = circle_mod(z);
-    const auto it = std::lower_bound(
-        placed.begin(), placed.end(), phi,
-        [](const CircleInterval& iv, Seconds p) { return iv.position < p; });
-    slot_[index] = static_cast<std::size_t>(it - placed.begin());
-    placed.insert(it, CircleInterval{phi, op.duration});
-    state.gaps[placed.size()].valid = false;
+    const Seconds duration = problem_.ops[index].duration;
+    if (duration <= eps_) return;
+    occupied_[op_resource_[index]].place(circle_mod(z, period_), duration);
   }
 
   void unplace(std::size_t index) {
-    const CyclicOp& op = problem_.ops[index];
-    if (op.duration <= eps_) return;
-    std::vector<CircleInterval>& placed =
-        occupied_[op_resource_[index]].placed;
-    const std::size_t slot = slot_[index];
-    MP_ENSURE(slot < placed.size() && placed[slot].duration == op.duration,
-              "unplace of an interval that is not placed");
-    placed.erase(placed.begin() + static_cast<std::ptrdiff_t>(slot));
+    if (problem_.ops[index].duration <= eps_) return;
+    occupied_[op_resource_[index]].unplace();
   }
 
   bool dfs(std::size_t index, Seconds ready, BBResult& result) {
@@ -312,8 +241,7 @@ class Search {
   LeafMemoryGate gate_;
 
   std::vector<int> op_resource_;  ///< dense resource index per op
-  std::vector<ResourceState> occupied_;
-  std::vector<std::size_t> slot_;  ///< per op: its interval's index if placed
+  std::vector<FreeGapStack> occupied_;  ///< per resource
   std::vector<std::vector<Seconds>> candidate_buffers_;  ///< one per depth
   std::vector<long long> forward_shift_;
   std::vector<Bytes> stage_bytes_;

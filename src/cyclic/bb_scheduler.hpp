@@ -20,8 +20,9 @@
 // of validate_pattern without its allocations, and only a leaf the gate
 // admits is verified in full with validate_pattern. Every returned pattern
 // has passed validate_pattern (DESIGN.md §16). Node and leaf state is kept
-// incrementally (free-gap lists per resource, memory verdicts per
-// processor) without changing the search tree.
+// incrementally (per resource, a stack of free-gap lists each derived from
+// the one below it, cyclic/free_gaps.hpp; memory verdicts per processor)
+// without changing the search tree.
 #pragma once
 
 #include <vector>

@@ -103,6 +103,9 @@ PeriodSearchResult find_min_period(const Allocation& allocation,
     span.arg("feasible", result.feasible ? 1 : 0);
     result.speculative_probes = static_cast<int>(runner.speculative_probes());
     result.speculative_hits = static_cast<int>(runner.speculative_hits());
+    for (const BBResult& bb : runner.results()) {
+      result.bb_nodes += static_cast<long long>(bb.nodes_visited);
+    }
     result.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();

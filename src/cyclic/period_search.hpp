@@ -37,6 +37,9 @@ struct PeriodSearchResult {
   /// Consumed probes that reported infeasible because the B&B node budget
   /// ran out, not because the search space was exhausted.
   int budget_hits = 0;
+  /// B&B nodes visited over every probe launched, speculative ones
+  /// included (so, unlike the counts above, it grows with the width).
+  long long bb_nodes = 0;
   double wall_seconds = 0.0;
 };
 

@@ -35,6 +35,7 @@ std::optional<Plan> plan_madpipe(const Chain& chain, const Platform& platform,
     stats.phase2_speculative_probes = phase2.speculative_probes;
     stats.phase2_speculative_hits = phase2.speculative_hits;
     stats.phase2_budget_hits = phase2.budget_hits;
+    stats.phase2_bb_nodes = phase2.bb_nodes;
     stats.phase2_wall_seconds = phase2.wall_seconds;
     if (phase2.feasible) {
       plan = Plan{"madpipe", allocation, phase2.pattern, 0.0, 0.0,

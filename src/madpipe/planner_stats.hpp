@@ -68,6 +68,9 @@ class Writer;
   X(Sum, phase2_budget_hits, "madpipe_planner_phase2_budget_hits_total",      \
     "Consumed phase-2 probes whose infeasible verdict came from B&B "         \
     "node-budget exhaustion rather than a refutation")                        \
+  X(Sum, phase2_bb_nodes, "madpipe_planner_phase2_bb_nodes_total",            \
+    "B&B nodes visited over every launched phase-2 probe, speculative ones "  \
+    "included")                                                               \
   X(Wall, phase1_wall_seconds, "madpipe_planner_phase1_seconds",              \
     "Phase-1 (Algorithm 1) wall time per plan")                               \
   X(Wall, phase2_wall_seconds, "madpipe_planner_phase2_seconds",              \

@@ -14,8 +14,8 @@ namespace madpipe::json {
 
 void Writer::maybe_comma() {
   if (!scopes_.empty() && !pending_key_) {
-    if (has_items_.back()) out_ += ',';
-    has_items_.back() = true;
+    if (scopes_.back() & kHasItems) out_ += ',';
+    scopes_.back() |= kHasItems;
   }
   pending_key_ = false;
 }
@@ -42,38 +42,32 @@ void Writer::append_escaped(std::string_view raw) {
   out_ += '"';
 }
 
-void Writer::begin_object() {
+void Writer::begin_scope(char open, char kind) {
   maybe_comma();
-  out_ += '{';
-  scopes_.push_back(Scope::Object);
-  has_items_.push_back(false);
+  out_ += open;
+  scopes_ += kind;
 }
+
+void Writer::end_scope(char close, char kind, const char* mismatch) {
+  MP_EXPECT(!scopes_.empty() && (scopes_.back() & kArray) == kind, mismatch);
+  out_ += close;
+  scopes_.pop_back();
+}
+
+void Writer::begin_object() { begin_scope('{', 0); }
 
 void Writer::end_object() {
-  MP_EXPECT(!scopes_.empty() && scopes_.back() == Scope::Object,
-            "end_object without matching begin_object");
-  out_ += '}';
-  scopes_.pop_back();
-  has_items_.pop_back();
+  end_scope('}', 0, "end_object without matching begin_object");
 }
 
-void Writer::begin_array() {
-  maybe_comma();
-  out_ += '[';
-  scopes_.push_back(Scope::Array);
-  has_items_.push_back(false);
-}
+void Writer::begin_array() { begin_scope('[', kArray); }
 
 void Writer::end_array() {
-  MP_EXPECT(!scopes_.empty() && scopes_.back() == Scope::Array,
-            "end_array without matching begin_array");
-  out_ += ']';
-  scopes_.pop_back();
-  has_items_.pop_back();
+  end_scope(']', kArray, "end_array without matching begin_array");
 }
 
 void Writer::key(std::string_view name) {
-  MP_EXPECT(!scopes_.empty() && scopes_.back() == Scope::Object,
+  MP_EXPECT(!scopes_.empty() && (scopes_.back() & kArray) == 0,
             "key() only valid inside an object");
   maybe_comma();
   append_escaped(name);

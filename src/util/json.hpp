@@ -23,6 +23,8 @@ namespace madpipe::json {
 ///   std::string out = w.str();
 class Writer {
  public:
+  Writer() { out_.reserve(kInitialCapacity); }
+
   void begin_object();
   void end_object();
   void begin_array();
@@ -44,13 +46,21 @@ class Writer {
   std::string str() &&;
 
  private:
-  enum class Scope { Object, Array };
+  /// Room for a serve response, so a typical document allocates once.
+  static constexpr std::size_t kInitialCapacity = 512;
+  /// Bits of a scope byte: an array (else an object), and has an item.
+  static constexpr char kArray = 1;
+  static constexpr char kHasItems = 2;
+
+  void begin_scope(char open, char kind);
+  void end_scope(char close, char kind, const char* mismatch);
   void maybe_comma();
   void append_escaped(std::string_view raw);
 
   std::string out_;
-  std::vector<Scope> scopes_;
-  std::vector<bool> has_items_;
+  /// One byte per open scope, innermost last. The string keeps the first
+  /// 15 levels in its inline buffer, so nesting does not allocate.
+  std::string scopes_;
   bool pending_key_ = false;
 };
 

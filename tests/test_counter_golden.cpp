@@ -66,6 +66,7 @@ TEST(ObsCounterGolden, PlannerStatsJsonKeysInOrder) {
       "phase2_speculative_probes",
       "phase2_speculative_hits",
       "phase2_budget_hits",
+      "phase2_bb_nodes",
       "phase1_wall_seconds",
       "phase2_wall_seconds",
   };
@@ -152,6 +153,7 @@ TEST(ObsCounterGolden, RegistryNamesAndTypes) {
       "# TYPE madpipe_planner_phase1_seconds histogram",
       "# TYPE madpipe_planner_phase1_speculative_hits_total counter",
       "# TYPE madpipe_planner_phase1_speculative_probes_total counter",
+      "# TYPE madpipe_planner_phase2_bb_nodes_total counter",
       "# TYPE madpipe_planner_phase2_budget_hits_total counter",
       "# TYPE madpipe_planner_phase2_probes_total counter",
       "# TYPE madpipe_planner_phase2_seconds histogram",

@@ -284,6 +284,25 @@ TEST(PlannerFastPath, PhaseCountersComeFromTheirOwnPhase) {
   EXPECT_GT(plan->stats.phase2_budget_hits, 0);
 }
 
+TEST(PlannerFastPath, Phase2BbNodesSumEveryLaunchedProbe) {
+  // resnet50 P=4 M=8, whose sequential bisection visits 480 132 B&B nodes
+  // over 14 probes (pinned by Phase2LeafGolden).
+  const Chain chain = models::paper_network("resnet50");
+  const Platform platform{4, 8 * GB, 12 * GB};
+  MadPipeOptions options;
+  options.phase2.speculation = 1;
+  const auto plan = plan_madpipe(chain, platform, options);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->stats.phase2_bb_nodes, 480132);
+
+  // Wider, the speculative probes' nodes count too.
+  const Phase1Result phase1 = madpipe_phase1(chain, platform, options.phase1);
+  options.phase2.speculation = 4;
+  const PeriodSearchResult wide = find_min_period(
+      *phase1.allocation, chain, platform, phase1.period, options.phase2);
+  EXPECT_GE(wide.bb_nodes, 480132);
+}
+
 // ParallelDP: MadPipe-DP probes run concurrently, as the speculative
 // bisections run them. A probe issued from a pool worker must return the
 // same period, allocation and DP counters as the same probe run alone, and
