@@ -21,8 +21,8 @@ struct Layer {
   Seconds backward_time = 0.0;  ///< u_B: backward duration for one mini-batch
   Bytes weight_bytes = 0.0;     ///< W: parameter size
   Bytes output_bytes = 0.0;     ///< a: activation produced by F_l (= size of b^(l))
-  /// Always-resident scratch (e.g. the transient recomputation workspace of
-  /// a merged recompute segment). Charged once, like weights, not per
+  /// Always-resident workspace the profile reports for this layer (v2
+  /// profile field `scratch_bytes`). Charged once, like weights, not per
   /// in-flight batch.
   Bytes scratch_bytes = 0.0;
 

@@ -20,7 +20,6 @@ class Grid {
   Grid(double max_value, int points);
 
   int points() const noexcept { return points_; }
-  double max_value() const noexcept { return max_value_; }
 
   /// Grid value of index i (clamped to the grid).
   double value(int index) const;

@@ -162,8 +162,8 @@ void write_chrome_trace(json::Writer& writer,
                         const std::vector<TraceEvent>& events);
 
 // --- Chrome trace-event building blocks ---------------------------------
-// The raw emission layer under write_chrome_trace, shared with every other
-// Chrome-trace producer in the tree (sim/trace.cpp, report/timeline_export).
+// The raw emission layer under write_chrome_trace, shared with the other
+// Chrome-trace producer in the tree, report/timeline_export.
 // A document is: begin_chrome_trace, any number of metadata/complete events,
 // end_chrome_trace.
 

@@ -187,7 +187,6 @@ class PlanService {
   /// signal for front-ends that want to shed load before the queue fills.
   std::size_t queue_depth() const;
 
-  std::size_t worker_count() const { return workers_.size(); }
   std::size_t queue_capacity() const { return options_.queue_capacity; }
 
   /// This service's counters (the registry holds the sum over services).

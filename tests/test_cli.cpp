@@ -63,10 +63,12 @@ TEST(Cli, NoArgumentsPrintsUsageAndExitsTwo) {
 }
 
 TEST(Cli, UnknownCommandExitsTwo) {
-  std::string output;
-  EXPECT_EQ(run_cli("frobnicate", &output), 2);
-  EXPECT_NE(output.find("unknown command frobnicate"), std::string::npos)
-      << output;
+  for (const std::string command : {"frobnicate", "hybrid"}) {
+    std::string output;
+    EXPECT_EQ(run_cli(command, &output), 2) << command;
+    EXPECT_NE(output.find("unknown command " + command), std::string::npos)
+        << output;
+  }
 }
 
 TEST(Cli, UnknownFlagExitsTwo) {
@@ -92,10 +94,17 @@ TEST(Cli, MissingProfileFileExitsOne) {
 
 TEST(Cli, PlanOnTinyProfileSucceeds) {
   const std::string profile = write_tiny_profile();
+  const std::string plan = "plan " + profile + " --gpus 2 --memory-gb 2";
+  for (const std::string planner : {"madpipe", "madpipe-contig", "pipedream"}) {
+    std::string output;
+    EXPECT_EQ(run_cli(plan + " --planner " + planner, &output), 0) << planner;
+    EXPECT_NE(output.find("period"), std::string::npos) << output;
+    EXPECT_NE(output.find("verifier: valid"), std::string::npos) << output;
+  }
   std::string output;
-  EXPECT_EQ(run_cli("plan " + profile + " --gpus 2 --memory-gb 2", &output),
-            0);
-  EXPECT_NE(output.find("period"), std::string::npos) << output;
+  EXPECT_EQ(run_cli(plan + " --planner gpipe", &output), 2);
+  EXPECT_NE(output.find("unknown planner gpipe"), std::string::npos)
+      << output;
   std::remove(profile.c_str());
 }
 

@@ -14,7 +14,6 @@
 #include "cyclic/bb_scheduler.hpp"
 #include "cyclic/period_search.hpp"
 #include "pipedream/pipedream.hpp"
-#include "schedule/gpipe.hpp"
 #include "schedule/one_f_one_b.hpp"
 #include "sim/event_sim.hpp"
 
@@ -383,46 +382,6 @@ TEST(PlacementOracle, MemoryBudgetBlocksSchedules) {
                    .has_value());
   EXPECT_FALSE(bb_schedule(problem, a, c, p, problem.serial_period).feasible);
 }
-
-class GPipeFuzz : public ::testing::TestWithParam<unsigned> {};
-
-// plan_gpipe balances under its memory model; brute force over contiguous
-// partitionings with the same period formula must not beat it.
-TEST_P(GPipeFuzz, NearBruteForce) {
-  const unsigned seed = GetParam();
-  const Chain c = random_chain(seed, 6 + seed % 3);
-  const Platform p{3, (0.8 + (seed % 4) * 0.5) * GB, 12 * GB};
-  const int m = 4;
-
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& stages : all_partitionings(c, p.processors)) {
-    bool feasible = true;
-    for (const Stage& st : stages) {
-      if (gpipe_stage_memory(c, st.first, st.last, m) >
-          p.memory_per_processor) {
-        feasible = false;
-        break;
-      }
-    }
-    if (!feasible) continue;
-    const Allocation allocation =
-        make_contiguous_allocation(c, stages, p.processors);
-    best = std::min(best, gpipe_period(allocation, c, p, m));
-  }
-
-  const auto plan = plan_gpipe(c, p, {m});
-  if (!std::isfinite(best)) {
-    EXPECT_FALSE(plan.has_value());
-    return;
-  }
-  ASSERT_TRUE(plan.has_value());
-  // The planner balances the bottleneck rather than the exact makespan, so
-  // allow a modest optimality gap — but never infeasibility or nonsense.
-  EXPECT_LE(plan->period, best * 1.25) << "seed " << seed;
-  EXPECT_GE(plan->period, best * (1.0 - 1e-9)) << "seed " << seed;
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, GPipeFuzz, ::testing::Range(300u, 320u));
 
 class OneFOneBFuzzMin : public ::testing::TestWithParam<unsigned> {};
 

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "schedule/one_f_one_b.hpp"
-#include "util/expect.hpp"
-#include "sim/trace.hpp"
 
 namespace madpipe {
 namespace {
@@ -46,26 +44,6 @@ TEST(Plan, HumanReadableDump) {
   EXPECT_NE(text.find("stage 0"), std::string::npos);
   EXPECT_NE(text.find("gpu1"), std::string::npos);
   EXPECT_NE(text.find("speedup"), std::string::npos);
-}
-
-TEST(Gantt, RendersEveryResource) {
-  const Chain c = make_uniform_chain(4, ms(5), ms(10), MB, MB, MB);
-  const Platform p{2, 10 * GB, 1e6 * GB};
-  const Plan plan = sample_plan(c, p);
-  const std::string gantt = render_gantt(plan.pattern, {80, 1});
-  EXPECT_NE(gantt.find("gpu0"), std::string::npos);
-  EXPECT_NE(gantt.find("gpu1"), std::string::npos);
-  EXPECT_NE(gantt.find("link0-1"), std::string::npos);
-  // Forward of stage 0 renders as 'A', backward as 'a'.
-  EXPECT_NE(gantt.find('A'), std::string::npos);
-  EXPECT_NE(gantt.find('a'), std::string::npos);
-}
-
-TEST(Gantt, RejectsSillyGeometry) {
-  const Chain c = make_uniform_chain(4, ms(5), ms(10), MB, MB, MB);
-  const Platform p{2, 10 * GB, 1e6 * GB};
-  const Plan plan = sample_plan(c, p);
-  EXPECT_THROW(render_gantt(plan.pattern, {5, 1}), ContractViolation);
 }
 
 }  // namespace

@@ -20,17 +20,13 @@
 //   madpipe plan <profile-file> [--planner NAME] [--gpus N] [--memory-gb X]
 //                [--bandwidth-gbs X] [--json FILE] [--trace FILE]
 //       Plan the profile on the platform. Planners: madpipe (default),
-//       madpipe-contig, pipedream, gpipe, recompute. --json dumps the full
-//       plan; --trace writes a chrome://tracing timeline of six periods
-//       (one process per GPU and per link).
+//       madpipe-contig, pipedream. --json dumps the full plan; --trace
+//       writes a chrome://tracing timeline of six periods (one process per
+//       GPU and per link).
 //
 //   madpipe simulate <profile-file> [--batches N] [plan options]
 //       Plan, then execute the plan in the discrete-event simulator and
 //       report measured throughput and memory peaks.
-//
-//   madpipe hybrid <profile-file> [--gpus N] [--memory-gb X]
-//                [--bandwidth-gbs X]
-//       Hybrid data+model-parallel planning (stage replication).
 //
 //   madpipe planner <profile-file> [--speculation W] [plan options]
 //       Run the full MadPipe planner and print the hot-path counters: DP
@@ -122,7 +118,6 @@
 #include <thread>
 #include <vector>
 
-#include "hybrid/hybrid.hpp"
 #include "madpipe/planner.hpp"
 #include "models/profile_io.hpp"
 #include "models/transformer.hpp"
@@ -133,8 +128,6 @@
 #include "pipedream/pipedream.hpp"
 #include "report/plan_report.hpp"
 #include "report/timeline_export.hpp"
-#include "schedule/gpipe.hpp"
-#include "schedule/recompute.hpp"
 #include "fleet/simulator.hpp"
 #include "fleet/trace.hpp"
 #include "serve/net/admin.hpp"
@@ -207,7 +200,7 @@ struct Args {
   if (message != nullptr) std::fprintf(stderr, "error: %s\n\n", message);
   std::fprintf(stderr,
                "usage: madpipe "
-               "<profile|validate|plan|simulate|hybrid|planner|explain|serve|fleet|stats> "
+               "<profile|validate|plan|simulate|planner|explain|serve|fleet|stats> "
                "...\n"
                "  profile <network> [-o FILE] [--image N] [--batch N] "
                "[--length N] [--format text|json]\n"
@@ -216,8 +209,6 @@ struct Args {
                "  plan <profile> [--planner NAME] [--gpus N] [--memory-gb X]\n"
                "       [--bandwidth-gbs X] [--json FILE] [--trace FILE]\n"
                "  simulate <profile> [--batches N] [plan options]\n"
-               "  hybrid <profile> [--gpus N] [--memory-gb X] "
-               "[--bandwidth-gbs X]\n"
                "  planner <profile> [--speculation W] [plan options]\n"
                "  explain <profile> [--periods N] [--batches N] [--json FILE]"
                "\n"
@@ -575,8 +566,7 @@ int cmd_validate(const Args& args) {
 }
 
 std::optional<Plan> run_planner(const Args& args, const Chain& chain,
-                                const Platform& platform, Chain& plan_chain) {
-  plan_chain = chain;
+                                const Platform& platform) {
   if (args.planner == "madpipe" || args.planner == "madpipe-contig") {
     MadPipeOptions options;
     options.phase1.dp.grid = Discretization::paper();
@@ -584,29 +574,6 @@ std::optional<Plan> run_planner(const Args& args, const Chain& chain,
     return plan_madpipe(chain, platform, options);
   }
   if (args.planner == "pipedream") return plan_pipedream(chain, platform);
-  if (args.planner == "recompute") {
-    auto result = plan_recompute_pipeline(chain, platform);
-    if (!result) return std::nullopt;
-    plan_chain = result->merged_chain;  // the plan refers to the merged chain
-    return std::move(result->plan);
-  }
-  if (args.planner == "gpipe") {
-    const auto gpipe = plan_gpipe(chain, platform);
-    if (!gpipe) {
-      std::printf("infeasible\n");
-      std::exit(1);
-    }
-    std::printf("gpipe plan (analytic fill/drain, m = %d micro-batches): "
-                "period %s, speedup %sx\n",
-                gpipe->micro_batches, fmt::seconds(gpipe->period).c_str(),
-                fmt::fixed(gpipe->speedup(chain), 2).c_str());
-    const Partitioning& parts = gpipe->allocation.partitioning();
-    for (int s = 0; s < parts.num_stages(); ++s) {
-      std::printf("  stage %d: layers [%d, %d]\n", s, parts.stage(s).first,
-                  parts.stage(s).last);
-    }
-    std::exit(0);
-  }
   usage(("unknown planner " + args.planner).c_str());
 }
 
@@ -617,21 +584,19 @@ int cmd_plan(const Args& args, bool simulate) {
                           args.bandwidth_gbs * GB};
   platform.validate();
 
-  Chain plan_chain = chain;
-  const std::optional<Plan> plan = run_planner(args, chain, platform,
-                                               plan_chain);
+  const std::optional<Plan> plan = run_planner(args, chain, platform);
   if (!plan) {
     std::printf("infeasible: no allocation fits %d GPUs with %s each\n",
                 args.gpus, fmt::bytes(platform.memory_per_processor).c_str());
     return 1;
   }
-  std::printf("%s", plan_to_string(*plan, plan_chain, platform).c_str());
+  std::printf("%s", plan_to_string(*plan, chain, platform).c_str());
   const auto check =
-      validate_pattern(plan->pattern, plan->allocation, plan_chain, platform);
+      validate_pattern(plan->pattern, plan->allocation, chain, platform);
   std::printf("verifier: %s\n", check.valid ? "valid" : "INVALID");
 
   if (!args.json_path.empty()) {
-    write_file(args.json_path, plan_to_json(*plan, plan_chain, platform));
+    write_file(args.json_path, plan_to_json(*plan, chain, platform));
     std::printf("plan JSON -> %s\n", args.json_path.c_str());
   }
   if (!args.trace_path.empty()) {
@@ -642,9 +607,8 @@ int cmd_plan(const Args& args, bool simulate) {
                 args.trace_path.c_str());
   }
   if (simulate) {
-    const auto sim = simulate_pattern(plan->pattern, plan->allocation,
-                                      plan_chain, platform,
-                                      {args.batches});
+    const auto sim = simulate_pattern(plan->pattern, plan->allocation, chain,
+                                      platform, {args.batches});
     std::printf("simulated %d batches: steady period %s, makespan %s\n",
                 args.batches, fmt::seconds(sim.steady_period).c_str(),
                 fmt::seconds(sim.makespan).c_str());
@@ -715,9 +679,7 @@ int cmd_explain(const Args& args) {
                           args.bandwidth_gbs * GB};
   platform.validate();
 
-  Chain plan_chain = chain;
-  const std::optional<Plan> plan =
-      run_planner(args, chain, platform, plan_chain);
+  const std::optional<Plan> plan = run_planner(args, chain, platform);
   if (!plan) {
     std::printf("infeasible: no allocation fits %d GPUs with %s each\n",
                 args.gpus, fmt::bytes(platform.memory_per_processor).c_str());
@@ -727,7 +689,7 @@ int cmd_explain(const Args& args) {
   report::PlanReportOptions options;
   options.simulation_batches = args.batches;
   const report::PlanReport rep =
-      report::build_plan_report(*plan, plan_chain, platform, options);
+      report::build_plan_report(*plan, chain, platform, options);
   const report::ExplainSummary summary = report::summarize(rep);
   report::publish_quality(summary);
   std::printf("%s", report::plan_report_to_string(rep).c_str());
@@ -743,20 +705,6 @@ int cmd_explain(const Args& args) {
     std::printf("timeline -> %s (%d periods; open in chrome://tracing)\n",
                 args.timeline_out.c_str(), args.periods);
   }
-  return 0;
-}
-
-int cmd_hybrid(const Args& args) {
-  if (args.positional.empty()) usage("hybrid needs a profile file");
-  const Chain chain = models::load_profile(args.positional[0]);
-  const Platform platform{args.gpus, args.memory_gb * GB,
-                          args.bandwidth_gbs * GB};
-  const auto plan = hybrid::plan_hybrid(chain, platform);
-  if (!plan) {
-    std::printf("infeasible\n");
-    return 1;
-  }
-  std::printf("%s", hybrid::hybrid_plan_to_string(*plan, chain).c_str());
   return 0;
 }
 
@@ -1249,7 +1197,6 @@ int main(int argc, char** argv) {
     if (command == "validate") return cmd_validate(args);
     if (command == "plan") return cmd_plan(args, /*simulate=*/false);
     if (command == "simulate") return cmd_plan(args, /*simulate=*/true);
-    if (command == "hybrid") return cmd_hybrid(args);
     if (command == "planner") return cmd_planner(args);
     if (command == "explain") return cmd_explain(args);
     if (command == "serve") return cmd_serve(args);
