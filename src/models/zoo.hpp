@@ -4,7 +4,7 @@
 // chain length. build_network additionally accepts the LLM-scale
 // transformer presets of models/transformer.hpp (list_transformer_presets),
 // for which image_size is ignored; list_networks() stays the paper's four —
-// benches and fleet traces iterate it at paper scale.
+// benches and property tests iterate it at paper scale.
 #pragma once
 
 #include <string>

@@ -77,12 +77,10 @@ void TailSampler::record(std::uint64_t trace_id, const TraceEvent& event) {
   // Spans arrive in *finish* order, so a planning-heavy request floods the
   // record with fine-grained planner/solver spans before the coarse phase
   // spans (serve_submit, queue_wait, serve_plan — they close last) ever
-  // land. Reserve a little headroom for the serve/fleet phase layer: inner
-  // spans may fill at most cap - reserve slots, phase spans the full cap.
-  const bool phase_span =
-      event.category != nullptr &&
-      (std::strcmp(event.category, kCatServe) == 0 ||
-       std::strcmp(event.category, kCatFleet) == 0);
+  // land. Reserve a little headroom for the serve phase layer: inner spans
+  // may fill at most cap - reserve slots, phase spans the full cap.
+  const bool phase_span = event.category != nullptr &&
+                          std::strcmp(event.category, kCatServe) == 0;
   const std::size_t reserve =
       std::min<std::size_t>(8, options_.max_spans_per_request / 2);
   const std::size_t limit = phase_span

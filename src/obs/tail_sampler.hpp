@@ -11,7 +11,7 @@
 //      routed here by Span::finish / emit_complete (detail::tail_record)
 //      and appended to the active record, capped at
 //      max_spans_per_request (the cap is recorded as `truncated`). A few
-//      slots are reserved for serve/fleet phase spans, which finish last —
+//      slots are reserved for serve phase spans, which finish last —
 //      a flood of inner planner spans can never evict the phase breakdown.
 //   3. end(done) moves the request out of the active map and applies the
 //      retention rule: errors go to a bounded error ring

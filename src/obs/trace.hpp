@@ -48,8 +48,6 @@ inline constexpr const char* kCatSolver = "solver";
 inline constexpr const char* kCatSim = "sim";
 /// Exact pattern verification (core/pattern.cpp validate_pattern).
 inline constexpr const char* kCatVerify = "verify";
-/// Fleet simulator: event dispatch and (re)planning (fleet/simulator.cpp).
-inline constexpr const char* kCatFleet = "fleet";
 
 namespace detail {
 /// Armed flag, read on the Span fast path. Do not touch directly.

@@ -5,21 +5,19 @@
 // 3-round mixer. Two properties matter here more than statistical depth:
 //
 //   * the sequence is a pure function of the seed — no global state, no
-//     platform-dependent std::random distributions — so a fleet trace or a
-//     bench shuffle generated from `--seed S` is bit-identical on every
-//     host and toolchain;
+//     platform-dependent std::random distributions — so a benchmark
+//     workload or a property test generated from a seed is bit-identical
+//     on every host and toolchain;
 //   * every draw is O(1) with no warm-up, so tests can spin up thousands
 //     of independent streams cheaply (one Rng per property-test case).
 //
-// All derived draws (uniform, below, exponential, shuffle) are implemented
+// All derived draws (uniform, below, range, chance) are implemented
 // from raw next_u64 bits with explicitly spelled-out arithmetic for the
 // same reason: std::uniform_int_distribution is not reproducible across
 // standard libraries, this is.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
-#include <vector>
 
 namespace madpipe::util {
 
@@ -48,9 +46,9 @@ class Rng {
 
   /// Uniform integer in [0, n) without modulo bias (Lemire's multiply-shift
   /// reduction — the bias of a plain % is below any observable threshold at
-  /// fleet sizes, but the reduction is just as cheap and exact). The high
-  /// half of the 64x64 product is computed from 32-bit halves so the code
-  /// stays strictly portable C++ (no __int128).
+  /// the bounds drawn here, but the reduction is just as cheap and exact).
+  /// The high half of the 64x64 product is computed from 32-bit halves so
+  /// the code stays strictly portable C++ (no __int128).
   std::uint64_t below(std::uint64_t n) noexcept {
     if (n == 0) return 0;
     const std::uint64_t a = next_u64();
@@ -73,25 +71,8 @@ class Rng {
                     below(static_cast<std::uint64_t>(hi - lo + 1)));
   }
 
-  /// Exponential with the given mean (inter-arrival gaps of a Poisson
-  /// process). uniform() < 1 always, so the log argument is > 0.
-  double exponential(double mean) noexcept {
-    return -mean * std::log(1.0 - uniform());
-  }
-
   /// Bernoulli draw.
   bool chance(double p) noexcept { return uniform() < p; }
-
-  /// Fisher–Yates shuffle driven by below() — reproducible where
-  /// std::shuffle is not (its use of the URBG is implementation-defined).
-  template <class T>
-  void shuffle(std::vector<T>& items) noexcept {
-    for (std::size_t i = items.size(); i > 1; --i) {
-      const std::size_t j = static_cast<std::size_t>(below(i));
-      using std::swap;
-      swap(items[i - 1], items[j]);
-    }
-  }
 
  private:
   std::uint64_t state_;

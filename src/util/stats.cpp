@@ -7,13 +7,6 @@
 
 namespace madpipe::stats {
 
-double mean(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  double sum = 0.0;
-  for (const double x : xs) sum += x;
-  return sum / static_cast<double>(xs.size());
-}
-
 double geometric_mean(std::span<const double> xs) {
   if (xs.empty()) return 0.0;
   double log_sum = 0.0;
@@ -22,24 +15,6 @@ double geometric_mean(std::span<const double> xs) {
     log_sum += std::log(x);
   }
   return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-double stddev(std::span<const double> xs) noexcept {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double acc = 0.0;
-  for (const double x : xs) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(xs.size()));
-}
-
-double min(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  return *std::max_element(xs.begin(), xs.end());
 }
 
 double percentile(std::span<const double> xs, double q) {
@@ -53,25 +28,6 @@ double percentile(std::span<const double> xs, double q) {
   const auto hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-void Accumulator::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  sum_sq_ += x * x;
-}
-
-double Accumulator::stddev() const noexcept {
-  if (n_ < 2) return 0.0;
-  const double m = mean();
-  const double var = sum_sq_ / static_cast<double>(n_) - m * m;
-  return var > 0.0 ? std::sqrt(var) : 0.0;
 }
 
 }  // namespace madpipe::stats

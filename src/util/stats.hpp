@@ -1,5 +1,5 @@
-// Small statistics helpers used by the experiment harness (geometric means
-// of period ratios, summary statistics of sweeps).
+// Small statistics helpers: geometric means of period ratios (the experiment
+// harness) and latency percentiles.
 #pragma once
 
 #include <span>
@@ -7,37 +7,10 @@
 
 namespace madpipe::stats {
 
-/// Arithmetic mean; 0 for an empty span.
-double mean(std::span<const double> xs) noexcept;
-
 /// Geometric mean; requires all values strictly positive. 0 for empty.
 double geometric_mean(std::span<const double> xs);
 
-/// Population standard deviation; 0 for fewer than two samples.
-double stddev(std::span<const double> xs) noexcept;
-
-double min(std::span<const double> xs) noexcept;
-double max(std::span<const double> xs) noexcept;
-
 /// Linear-interpolated percentile, q in [0,1]. Copies and sorts.
 double percentile(std::span<const double> xs, double q);
-
-/// Incremental accumulator for mean / min / max / stddev in one pass.
-class Accumulator {
- public:
-  void add(double x) noexcept;
-  long long count() const noexcept { return n_; }
-  double mean() const noexcept { return n_ > 0 ? sum_ / static_cast<double>(n_) : 0.0; }
-  double min() const noexcept { return min_; }
-  double max() const noexcept { return max_; }
-  double stddev() const noexcept;
-
- private:
-  long long n_ = 0;
-  double sum_ = 0.0;
-  double sum_sq_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 }  // namespace madpipe::stats

@@ -63,7 +63,7 @@ TEST(Cli, NoArgumentsPrintsUsageAndExitsTwo) {
 }
 
 TEST(Cli, UnknownCommandExitsTwo) {
-  for (const std::string command : {"frobnicate", "hybrid"}) {
+  for (const std::string command : {"frobnicate", "hybrid", "fleet"}) {
     std::string output;
     EXPECT_EQ(run_cli(command, &output), 2) << command;
     EXPECT_NE(output.find("unknown command " + command), std::string::npos)
@@ -75,6 +75,9 @@ TEST(Cli, UnknownFlagExitsTwo) {
   std::string output;
   EXPECT_EQ(run_cli("plan whatever --bogus", &output), 2);
   EXPECT_NE(output.find("unknown option --bogus"), std::string::npos)
+      << output;
+  EXPECT_EQ(run_cli("serve --policy fifo", &output), 2);
+  EXPECT_NE(output.find("unknown option --policy"), std::string::npos)
       << output;
 }
 
@@ -359,7 +362,6 @@ TEST(Cli, ValidateAcceptsEveryCommittedExample) {
   const std::string dir = std::string(MADPIPE_SOURCE_DIR) + "/examples/";
   std::string output;
   ASSERT_EQ(run_cli("validate " + dir + "explain_resnet50_p2.json " + dir +
-                        "fleet_trace.json " + dir +
                         "profile_transformer_small.json " + dir +
                         "profile_transformer_small.profile " + dir +
                         "serve_llm_request.json " + dir +
@@ -371,8 +373,6 @@ TEST(Cli, ValidateAcceptsEveryCommittedExample) {
   EXPECT_NE(output.find("madpipe-profile-v2, 12 layers"), std::string::npos)
       << output;
   EXPECT_NE(output.find("madpipe-profile-v1, 12 layers"), std::string::npos)
-      << output;
-  EXPECT_NE(output.find("madpipe-fleet-trace-v1"), std::string::npos)
       << output;
   EXPECT_NE(output.find("serve request lines"), std::string::npos) << output;
 }
@@ -394,63 +394,6 @@ TEST(Cli, ValidateFailsOnBrokenDocumentsAndMissingFiles) {
       << output;
   std::remove(bad.c_str());
   std::remove(good.c_str());
-}
-
-TEST(Cli, FleetRunsCommittedExampleTraceDeterministically) {
-  const std::string trace =
-      std::string(MADPIPE_SOURCE_DIR) + "/examples/fleet_trace.json";
-  const std::string log_a = ::testing::TempDir() + "/cli_fleet_a.log";
-  const std::string log_b = ::testing::TempDir() + "/cli_fleet_b.log";
-  std::string output;
-  ASSERT_EQ(run_cli("fleet " + trace + " --policy fifo --log-out " + log_a,
-                    &output),
-            0)
-      << output;
-  EXPECT_NE(output.find("completed"), std::string::npos);
-  EXPECT_NE(output.find("event-log hash"), std::string::npos);
-  ASSERT_EQ(run_cli("fleet " + trace + " --policy fifo --log-out " + log_b,
-                    &output),
-            0)
-      << output;
-  // The CLI-level acceptance criterion: two runs, bit-identical logs.
-  std::ifstream a_in(log_a), b_in(log_b);
-  const std::string a((std::istreambuf_iterator<char>(a_in)),
-                      std::istreambuf_iterator<char>());
-  const std::string b((std::istreambuf_iterator<char>(b_in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
-  std::remove(log_a.c_str());
-  std::remove(log_b.c_str());
-}
-
-TEST(Cli, FleetWritesReportJsonFromSeededTrace) {
-  const std::string json_path = ::testing::TempDir() + "/cli_fleet.json";
-  std::string output;
-  ASSERT_EQ(run_cli("fleet --seed 7 --jobs 6 --policy deadline --json " +
-                        json_path,
-                    &output),
-            0)
-      << output;
-  std::ifstream in(json_path);
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  const json::ParseResult parsed = json::parse(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.error;
-  EXPECT_EQ(parsed.value.string_or("schema", ""), "madpipe-fleet-report-v1");
-  EXPECT_EQ(parsed.value.string_or("policy", ""), "deadline");
-  const json::Value* accounting = parsed.value.find("accounting");
-  ASSERT_NE(accounting, nullptr);
-  EXPECT_DOUBLE_EQ(accounting->number_or("jobs_in", 0.0), 6.0);
-  EXPECT_TRUE(accounting->bool_or("exact", false));
-  std::remove(json_path.c_str());
-}
-
-TEST(Cli, FleetRejectsUnknownPolicyAndMissingTrace) {
-  std::string output;
-  EXPECT_EQ(run_cli("fleet --policy frobnicate", &output), 1);
-  EXPECT_NE(output.find("frobnicate"), std::string::npos);
-  EXPECT_EQ(run_cli("fleet /nonexistent/missing_trace.json", &output), 1);
 }
 
 }  // namespace

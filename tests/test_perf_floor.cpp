@@ -13,14 +13,12 @@
 #include <thread>
 #include <vector>
 
-#include "fleet/event_queue.hpp"
 #include "models/zoo.hpp"
 #include "obs/tail_sampler.hpp"
 #include "serve/net/server.hpp"
 #include "serve/service.hpp"
 #include "util/json.hpp"
 #include "util/net.hpp"
-#include "util/rng.hpp"
 
 namespace madpipe {
 namespace {
@@ -184,46 +182,6 @@ TEST_F(PerfFloor, ArmedTailSamplingKeepsEightyPercentOfHitThroughput) {
       armed / disarmed, armed, disarmed);
   ASSERT_GT(disarmed, 0.0);
   EXPECT_GE(armed / disarmed, 0.8) << armed << " vs " << disarmed << " req/s";
-}
-
-// Push/pop churn in blocks of 4096 shuffled events, 1 in 64 of them far in
-// the future; a push+pop pair counts as one event.
-TEST_F(PerfFloor, EventQueueChurnsHalfAMillionEventsPerSecond) {
-  constexpr std::size_t kBlock = 4096;
-  constexpr std::size_t kBlocks = 256;  // ~1M events
-  util::Rng rng(42);
-  fleet::EventQueue queue;
-  std::vector<double> times;
-  double horizon = 0.0;
-  bool ordered = true;
-  const Clock::time_point start = Clock::now();
-  for (std::size_t block = 0; block < kBlocks; ++block) {
-    times.clear();
-    for (std::size_t i = 0; i < kBlock; ++i) {
-      times.push_back(horizon + (rng.chance(1.0 / 64.0)
-                                     ? rng.uniform(5000.0, 50000.0)
-                                     : rng.exponential(4.0)));
-    }
-    rng.shuffle(times);
-    for (const double time : times) {
-      fleet::Event event;
-      event.time = time;
-      queue.push(event);
-    }
-    double last = -1.0;
-    for (std::size_t i = 0; i < kBlock; ++i) {
-      const double time = queue.pop().time;
-      ordered = ordered && time >= last;
-      last = time;
-    }
-    horizon = last;
-  }
-  const double events_per_second =
-      static_cast<double>(kBlocks * kBlock) / seconds_since(start);
-  std::printf("PerfFloor event queue: %.0f events/s (floor 500000)\n",
-              events_per_second);
-  EXPECT_TRUE(ordered);
-  EXPECT_GE(events_per_second, 500'000.0);
 }
 
 TEST_F(PerfFloor, Gpt2XlServeHitIsOneHundredTimesFasterThanColdPlan) {

@@ -398,7 +398,7 @@ TEST(ServeService, SubmitAsyncCallbacksCarryShutdownStatusMidDrain) {
   // The callback path must honor the same drain contract as the future
   // path: destroying the service with a backlog fires every pending
   // callback exactly once, queued-but-unstarted jobs with Shutdown (the
-  // fleet/TCP front-ends key retry logic off that distinction).
+  // TCP front-end keys retry logic off that distinction).
   std::mutex mutex;
   std::map<std::string, ResponseStatus> delivered;
   std::map<std::string, int> deliveries;

@@ -10,13 +10,6 @@
 namespace madpipe::stats {
 namespace {
 
-TEST(Stats, MeanOfEmptyIsZero) { EXPECT_EQ(mean({}), 0.0); }
-
-TEST(Stats, MeanBasic) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(mean(xs), 2.5);
-}
-
 TEST(Stats, GeometricMeanBasic) {
   const std::vector<double> xs{1.0, 4.0};
   EXPECT_DOUBLE_EQ(geometric_mean(xs), 2.0);
@@ -39,22 +32,6 @@ TEST(Stats, GeometricMeanOfSingleton) {
   EXPECT_DOUBLE_EQ(geometric_mean(xs), 7.25);
 }
 
-TEST(Stats, StddevOfConstantIsZero) {
-  const std::vector<double> xs{3.0, 3.0, 3.0};
-  EXPECT_DOUBLE_EQ(stddev(xs), 0.0);
-}
-
-TEST(Stats, StddevKnownValue) {
-  const std::vector<double> xs{2.0, 4.0};  // mean 3, deviations ±1
-  EXPECT_DOUBLE_EQ(stddev(xs), 1.0);
-}
-
-TEST(Stats, MinMax) {
-  const std::vector<double> xs{3.0, -1.0, 7.0};
-  EXPECT_DOUBLE_EQ(min(xs), -1.0);
-  EXPECT_DOUBLE_EQ(max(xs), 7.0);
-}
-
 TEST(Stats, PercentileEndpoints) {
   const std::vector<double> xs{5.0, 1.0, 3.0};
   EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
@@ -70,24 +47,6 @@ TEST(Stats, PercentileInterpolates) {
 TEST(Stats, PercentileRejectsBadRank) {
   const std::vector<double> xs{1.0};
   EXPECT_THROW(percentile(xs, 1.5), ContractViolation);
-}
-
-TEST(Stats, AccumulatorMatchesBatchFunctions) {
-  const std::vector<double> xs{1.0, 5.0, 2.0, 8.0, -3.0};
-  Accumulator acc;
-  for (const double x : xs) acc.add(x);
-  EXPECT_EQ(acc.count(), 5);
-  EXPECT_NEAR(acc.mean(), mean(xs), 1e-12);
-  EXPECT_DOUBLE_EQ(acc.min(), min(xs));
-  EXPECT_DOUBLE_EQ(acc.max(), max(xs));
-  EXPECT_NEAR(acc.stddev(), stddev(xs), 1e-9);
-}
-
-TEST(Stats, AccumulatorEmpty) {
-  const Accumulator acc;
-  EXPECT_EQ(acc.count(), 0);
-  EXPECT_EQ(acc.mean(), 0.0);
-  EXPECT_EQ(acc.stddev(), 0.0);
 }
 
 }  // namespace

@@ -13,9 +13,8 @@
 //   madpipe validate <FILE...>
 //       Check input files without running anything: v1 text and v2 JSON
 //       profiles are deeply parsed, serve request documents (single object,
-//       batch, or one-object-per-line JSONL) are parsed per request, fleet
-//       traces are structurally validated. Prints one line per file; exits
-//       nonzero if any file fails.
+//       batch, or one-object-per-line JSONL) are parsed per request. Prints
+//       one line per file; exits nonzero if any file fails.
 //
 //   madpipe plan <profile-file> [--planner NAME] [--gpus N] [--memory-gb X]
 //                [--bandwidth-gbs X] [--json FILE] [--trace FILE]
@@ -128,8 +127,6 @@
 #include "pipedream/pipedream.hpp"
 #include "report/plan_report.hpp"
 #include "report/timeline_export.hpp"
-#include "fleet/simulator.hpp"
-#include "fleet/trace.hpp"
 #include "serve/net/admin.hpp"
 #include "serve/net/server.hpp"
 #include "serve/protocol.hpp"
@@ -188,19 +185,13 @@ struct Args {
   int shed_depth = 0;        ///< queue depth that sheds; 0 = queue capacity
   std::string admin;         ///< HOST:PORT; empty = no admin endpoint
   int slow_k = 8;            ///< tail sampler: slowest-k kept per window
-  // fleet
-  std::string policy = "fifo";
-  unsigned long long seed = 42;  ///< synthetic-trace seed
-  int fleet_jobs = 24;           ///< synthetic-trace job count
-  int pool = 8;                  ///< synthetic-trace initial pool capacity
-  std::string log_out;           ///< fleet event-log text file
 };
 
 [[noreturn]] void usage(const char* message = nullptr) {
   if (message != nullptr) std::fprintf(stderr, "error: %s\n\n", message);
   std::fprintf(stderr,
                "usage: madpipe "
-               "<profile|validate|plan|simulate|planner|explain|serve|fleet|stats> "
+               "<profile|validate|plan|simulate|planner|explain|serve|stats> "
                "...\n"
                "  profile <network> [-o FILE] [--image N] [--batch N] "
                "[--length N] [--format text|json]\n"
@@ -223,17 +214,11 @@ struct Args {
                "        [--shed-depth N]\n"
                "        [--cache-save FILE] [--cache-load FILE]\n"
                "        [--admin HOST:PORT] [--slow-k N]\n"
-               "  fleet [TRACE.json] [--policy fifo|deadline|affinity] "
-               "[--seed S]\n"
-               "        [--jobs N] [--pool N] [--memory-gb X] "
-               "[--bandwidth-gbs X]\n"
-               "        [--json FILE] [--log-out FILE]   (no TRACE: "
-               "seeded synthetic trace)\n"
                "  stats [FILE] [--buckets]   render a --metrics-out dump as "
                "Prometheus text\n"
                "                             (histograms as p50/p95/p99; "
                "--buckets for raw)\n"
-               "  planner|explain|serve|fleet also accept "
+               "  planner|explain|serve also accept "
                "[--trace-out FILE] [--metrics-out FILE]\n"
                "  --version\n");
   std::exit(2);
@@ -311,16 +296,6 @@ Args parse(int argc, char** argv) {
       args.admin = next_value();
     } else if (arg == "--slow-k") {
       args.slow_k = std::atoi(next_value().c_str());
-    } else if (arg == "--policy") {
-      args.policy = next_value();
-    } else if (arg == "--seed") {
-      args.seed = std::strtoull(next_value().c_str(), nullptr, 10);
-    } else if (arg == "--jobs") {
-      args.fleet_jobs = std::atoi(next_value().c_str());
-    } else if (arg == "--pool") {
-      args.pool = std::atoi(next_value().c_str());
-    } else if (arg == "--log-out") {
-      args.log_out = next_value();
     } else if (arg == "--buckets") {
       args.buckets = true;
     } else if (arg == "-o" || arg == "--output") {
@@ -353,7 +328,7 @@ void write_file(const std::string& path, const std::string& content) {
   out << content;
 }
 
-/// Observability sinks for the planner/explain/serve/fleet commands: arms span
+/// Observability sinks for the planner/explain/serve commands: arms span
 /// tracing when --trace-out was given, and on destruction writes the Chrome
 /// trace and/or the metrics-registry JSON dump.
 class ObsSinks {
@@ -465,10 +440,10 @@ ValidateReport validate_serve_document(const std::string& text) {
   return report;
 }
 
-/// Validate one document: schema-tagged JSON dispatches to the matching
-/// deep parser (profile v2, fleet trace); schema-less objects/arrays are
-/// serve request documents; JSONL (one object per line, the serve --stdin
-/// framing) validates line by line; anything non-JSON is a v1 text profile.
+/// Validate one document: a schema-tagged v2 profile is deeply parsed;
+/// schema-less objects/arrays are serve request documents; JSONL (one object
+/// per line, the serve --stdin framing) validates line by line; anything
+/// non-JSON is a v1 text profile.
 ValidateReport validate_document(const std::string& text) {
   const char first = first_significant_byte(text);
   if (first != '{' && first != '[') return validate_profile(text);
@@ -514,20 +489,8 @@ ValidateReport validate_document(const std::string& text) {
         schema != nullptr && schema->is_string()) {
       const std::string& name = schema->as_string();
       if (name == "madpipe-profile-v2") return validate_profile(text);
-      if (name == "madpipe-fleet-trace-v1") {
-        ValidateReport report;
-        const fleet::FleetTraceParse trace = fleet::fleet_trace_from_json(text);
-        if (!trace.error.empty()) {
-          report.ok = false;
-          report.error = trace.error;
-          return report;
-        }
-        report.kind = "madpipe-fleet-trace-v1";
-        return report;
-      }
-      // Other schema-tagged documents (explain dumps, fleet reports,
-      // metrics dumps) are outputs, not inputs — well-formed JSON is all we
-      // ask.
+      // Other schema-tagged documents (explain dumps, metrics dumps) are
+      // outputs, not inputs — well-formed JSON is all we ask.
       ValidateReport report;
       report.kind = name + " (well-formed JSON, not deeply checked)";
       return report;
@@ -1076,81 +1039,6 @@ int render_metrics_dump(const json::Value& root, bool buckets_too) {
   return 0;
 }
 
-/// `madpipe fleet`: run the discrete-event fleet simulator over a JSON
-/// trace (positional) or a seeded synthetic trace, print the human report,
-/// and optionally dump the JSON report / raw event log. Exits non-zero when
-/// the jobs-in == jobs-out accounting does not close or any job is left
-/// stranded — the invariant the CI smoke run asserts.
-int cmd_fleet(const Args& args) {
-  const ObsSinks sinks(args);
-  fleet::FleetTrace trace;
-  if (!args.positional.empty()) {
-    std::ifstream in(args.positional[0]);
-    if (!in.good()) {
-      std::fprintf(stderr, "error: cannot read %s\n",
-                   args.positional[0].c_str());
-      return 1;
-    }
-    const std::string text((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    fleet::FleetTraceParse parse = fleet::fleet_trace_from_json(text);
-    if (!parse.ok()) {
-      std::fprintf(stderr, "error: %s: %s\n", args.positional[0].c_str(),
-                   parse.error.c_str());
-      return 1;
-    }
-    trace = std::move(parse.trace);
-    if (fleet::fleet_trace_has_plan_deadlines(trace)) {
-      std::fprintf(stderr,
-                   "note: trace carries plan_deadline_ms — the degradation "
-                   "valve is wall-clock driven, so event logs are not "
-                   "guaranteed bit-identical across runs\n");
-    }
-  } else {
-    fleet::SyntheticTraceConfig config;
-    config.seed = args.seed;
-    config.jobs = args.fleet_jobs;
-    config.pool_gpus = args.pool;
-    config.memory_gb = args.memory_gb;
-    config.bandwidth_gbs = args.bandwidth_gbs;
-    trace = fleet::synthesize_fleet_trace(config);
-  }
-
-  fleet::FleetOptions options;
-  options.policy = args.policy;
-  serve::ServiceOptions service_options;
-  service_options.workers = static_cast<std::size_t>(args.workers);
-  service_options.queue_capacity = static_cast<std::size_t>(args.queue);
-  const fleet::FleetResult result =
-      fleet::run_fleet(trace, options, service_options);
-  if (!result.ok()) {
-    std::fprintf(stderr, "error: %s\n", result.error.c_str());
-    return 1;
-  }
-  if (!args.json_path.empty()) {
-    write_file(args.json_path,
-               fleet::fleet_result_to_json(result, /*include_event_log=*/true));
-  }
-  if (!args.log_out.empty()) {
-    std::string log;
-    for (const std::string& line : result.event_log) {
-      log += line;
-      log += '\n';
-    }
-    write_file(args.log_out, log);
-  }
-  std::fputs(fleet::fleet_result_report(result).c_str(), stdout);
-  if (!result.accounting_exact() || result.stranded > 0) {
-    std::fprintf(stderr,
-                 "error: accounting violation: %d in != %d completed + %d "
-                 "failed + %d stranded\n",
-                 result.jobs_in, result.completed, result.failed,
-                 result.stranded);
-    return 1;
-  }
-  return 0;
-}
-
 int cmd_stats(const Args& args) {
   if (args.positional.empty()) {
     // No dump file: this process's own registry (empty metrics included, so
@@ -1200,7 +1088,6 @@ int main(int argc, char** argv) {
     if (command == "planner") return cmd_planner(args);
     if (command == "explain") return cmd_explain(args);
     if (command == "serve") return cmd_serve(args);
-    if (command == "fleet") return cmd_fleet(args);
     if (command == "stats") return cmd_stats(args);
     usage(("unknown command " + command).c_str());
   } catch (const std::exception& error) {
