@@ -141,11 +141,8 @@ struct ZooCell {
   int processors = 0;
 };
 
-/// Prints "resnet50_P2", which gtest_discover_tests puts in place of the case
-/// index in each ctest name. Without a printer gtest prints the struct's raw
-/// bytes, heap pointer included, and the names move per build.
-void PrintTo(const ZooCell& cell, std::ostream* os) {
-  *os << cell.network << "_P" << cell.processors;
+std::string cell_name(const ::testing::TestParamInfo<ZooCell>& info) {
+  return info.param.network + "_P" + std::to_string(info.param.processors);
 }
 
 MadPipeOptions quick_options() {
@@ -275,7 +272,8 @@ std::vector<ZooCell> zoo_matrix() {
   return cells;
 }
 
-INSTANTIATE_TEST_SUITE_P(Zoo, PlanReportZoo, ::testing::ValuesIn(zoo_matrix()));
+INSTANTIATE_TEST_SUITE_P(Zoo, PlanReportZoo, ::testing::ValuesIn(zoo_matrix()),
+                         cell_name);
 
 struct TinyCase {
   Chain chain;

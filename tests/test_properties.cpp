@@ -13,6 +13,9 @@
 namespace madpipe {
 namespace {
 
+// gtest names a param that has no PrintTo by its raw bytes. The numbers go
+// first so that the start of each test name holds them, not the heap
+// pointer of the network string, which moves whenever the binary changes.
 struct Scenario {
   double memory_gb;
   double bandwidth_gbs;
@@ -20,13 +23,11 @@ struct Scenario {
   std::string network;
 };
 
-/// Prints "resnet50_P2_M4_B12", which gtest_discover_tests puts in place of
-/// the case index in each ctest name. Without a printer gtest prints the
-/// struct's raw bytes, heap pointer included, and the names move per build.
-void PrintTo(const Scenario& s, std::ostream* os) {
-  *os << s.network << "_P" << s.processors << "_M"
-      << static_cast<int>(s.memory_gb) << "_B"
-      << static_cast<int>(s.bandwidth_gbs);
+std::string scenario_name(const ::testing::TestParamInfo<Scenario>& info) {
+  const Scenario& s = info.param;
+  return s.network + "_P" + std::to_string(s.processors) + "_M" +
+         std::to_string(static_cast<int>(s.memory_gb)) + "_B" +
+         std::to_string(static_cast<int>(s.bandwidth_gbs));
 }
 
 class PaperScenario : public ::testing::TestWithParam<Scenario> {
@@ -110,7 +111,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Scenario{2.0, 12.0, 4, "inception_v3"},
                       Scenario{8.0, 24.0, 2, "inception_v3"},
                       Scenario{4.0, 12.0, 4, "densenet121"},
-                      Scenario{2.0, 24.0, 8, "densenet121"}));
+                      Scenario{2.0, 24.0, 8, "densenet121"}),
+    scenario_name);
 
 TEST(PaperShape, MoreMemoryNeverSlowsPipeDreamPartitioning) {
   models::NetworkConfig config;
